@@ -4,77 +4,15 @@ The exact certifier computes the closed interval of predictions reachable
 when at most a budgeted number of training labels move within per-label
 intervals, together with witness label vectors; the approximate certifier
 bounds the reachable coefficient set once and certifies any test point with
-a single interval dot product.
+a single interval dot product.  Both judge predictions by one `Decision`: a
+band of radius epsilon (regression) or the 0.5 threshold (classification).
 """
 
-from .approx import (
-    ApproxVerdict,
-    ModelHull,
-    certify_approx,
-    certify_approx_classification,
-    hull_from_dict,
-    hull_to_dict,
-    interval_predict,
-    load_hull,
-    model_hull,
-    save_hull,
-)
-from .bias import (
-    BiasSpec,
-    Interval,
-    PerturbationVector,
-    TargetPredicate,
-    apply_targeting,
-    classification_delta,
-    contains,
-    scale_delta,
-    uniform_delta,
-)
-from .data import (
-    DatasetSchema,
-    SplitConfig,
-    kfold,
-    load_csv,
-    split,
-    synth_classification,
-    synth_demographic,
-    with_bias_column,
-    write_csv,
-)
-from .exact import (
-    CertResult,
-    MinFlipsResult,
-    PotentialImpacts,
-    PredictionRange,
-    certify_classification,
-    certify_from_influence,
-    certify_regression,
-    classify_from_influence,
-    min_flips,
-    min_flips_from_influence,
-    potential_impacts,
-    prediction_range,
-)
-from .harness import (
-    CertifiedRate,
-    RobustnessReport,
-    export_attack,
-    group_rates,
-    lambda_sweep,
-    robustness_rate,
-    run_experiment,
-    timing_report,
-)
-from .linalg import (
-    Dataset,
-    InfluenceMatrix,
-    ModelCoefficients,
-    fit,
-    influence_matrix,
-    influence_vector,
-    predict,
-    solve_ridge,
-)
-from .oracle import brute_force_classification, brute_force_hull, brute_force_range
+from .approx import certify_approx, certify_approx_classification, load_hull, model_hull
+from .bias import BiasSpec, TargetPredicate, apply_targeting, classification_delta, uniform_delta
+from .data import synth_classification, synth_demographic, with_bias_column
+from .exact import Decision, certify_classification, certify_regression, min_flips
+from .harness import group_rates, robustness_rate, timing_report
+from .linalg import Dataset, fit
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bias import BiasSpec, Interval
 from .errors import DimensionMismatch
-from .exact import prediction_range
+from .exact import Decision, prediction_range
 from .linalg import InfluenceMatrix, ModelCoefficients, predict
 
 
@@ -105,49 +105,35 @@ def interval_predict(hull: ModelHull, x: np.ndarray) -> Interval:
     return Interval(lo, hi)
 
 
-def certify_approx(
-    hull: ModelHull,
-    coefficients: ModelCoefficients,
-    x: np.ndarray,
-    epsilon: float,
-    tol: float = 0.0,
+def decide_approx(
+    hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray, decision: Decision
 ) -> ApproxVerdict:
-    """Certified iff the hull's prediction interval fits inside the epsilon band.
+    """Certified iff the hull's prediction interval keeps the decision.
 
     The hull and coefficients must come from the same dataset and ridge
     strength.
     """
-    if epsilon < 0:
-        raise ValueError(f"robustness radius must be >= 0, got {epsilon}")
     if hull.base.lam != coefficients.lam:
         raise ValueError(
             f"hull built at lam={hull.base.lam} but coefficients at lam={coefficients.lam}"
         )
     predicted = interval_predict(hull, x)
-    base = predict(coefficients, x)
-    certified = (
-        predicted.lo >= base - epsilon - tol and predicted.hi <= base + epsilon + tol
-    )
-    return ApproxVerdict(certified, predicted)
+    escaped, _ = decision.breach(predict(coefficients, x), predicted.lo, predicted.hi)
+    return ApproxVerdict(not escaped, predicted)
+
+
+def certify_approx(
+    hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray, epsilon: float
+) -> ApproxVerdict:
+    """Certified iff the hull's prediction interval fits inside the epsilon band."""
+    return decide_approx(hull, coefficients, x, Decision.band(epsilon))
 
 
 def certify_approx_classification(
     hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray
 ) -> ApproxVerdict:
     """Certified iff the hull's prediction interval cannot cross the 0.5 threshold."""
-    if hull.base.lam != coefficients.lam:
-        raise ValueError(
-            f"hull built at lam={hull.base.lam} but coefficients at lam={coefficients.lam}"
-        )
-    predicted = interval_predict(hull, x)
-    base = predict(coefficients, x)
-    if base == 0.5:
-        certified = predicted.hi == predicted.lo
-    elif base > 0.5:
-        certified = predicted.lo >= 0.5
-    else:
-        certified = predicted.hi < 0.5
-    return ApproxVerdict(certified, predicted)
+    return decide_approx(hull, coefficients, x, Decision.threshold())
 
 
 _HULL_FORMAT = "labelcert-hull/1"

@@ -16,7 +16,7 @@ from .approx import model_hull, save_hull
 from .config import build_delta, build_spec, load_experiment_config
 from .data import load_csv, split, synth_classification, synth_demographic, write_csv
 from .errors import LabelCertError
-from .exact import min_flips_from_influence
+from .exact import Decision, min_flips_from_influence
 from .harness import (
     export_attack,
     render_csv_tables,
@@ -104,19 +104,14 @@ def cmd_min_flips(args) -> int:
     delta = build_delta(config, train)
     lam = config.lambda_grid[0]
     _, influence = fit(train, lam)
-    if config.task == "classification":
-        epsilon = None  # derived per point from the decision threshold
-    else:
-        epsilon = config.epsilon
+    decision = Decision.for_task(config.task, config.epsilon)
     rows = [args.index] if args.index is not None else range(test.n)
     out_path = Path(config.out_dir) / "min_flips.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("row,flips,prediction\n")
         for i in rows:
             z = influence_vector(test.X[i], influence)
-            base = float(z @ train.y)
-            eps = abs(base - 0.5) if epsilon is None else epsilon
-            result = min_flips_from_influence(z, train.y, delta, eps)
+            result = min_flips_from_influence(z, train.y, delta, decision)
             if result is None:
                 handle.write(f"{i},,\n")
             else:

@@ -25,10 +25,6 @@ class UnknownColumn(LabelCertError):
     """A targeting predicate names a column or group channel the dataset lacks."""
 
 
-class InstanceTooLarge(LabelCertError):
-    """Brute-force oracle guard: the instance exceeds the enumeration budget."""
-
-
 class ParseError(LabelCertError):
     """A file (CSV or config) could not be parsed; message carries location."""
 

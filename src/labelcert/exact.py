@@ -5,12 +5,13 @@ training labels, so the reachable prediction set under a label perturbation
 budget is a closed interval whose endpoints are attained by moving the
 budgeted number of highest-impact labels to interval endpoints.  This module
 computes that interval, the witness label vectors attaining it, robustness
-verdicts against a prediction band, and the smallest budget that breaks
-robustness.
+verdicts against a `Decision` (a prediction band or the 0.5 threshold), and
+the smallest budget that breaks robustness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,64 @@ from .linalg import Dataset, fit, influence_vector
 
 # Binary decision threshold; a prediction of exactly 0.5 classifies as 1.
 DECISION_THRESHOLD = 0.5
+# Largest prediction that classifies as 0.
+_BELOW_THRESHOLD = float(np.nextafter(DECISION_THRESHOLD, -np.inf))
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The rule a perturbed prediction must keep for the base prediction to be robust.
+
+    Either a closed band of radius `epsilon` around the base prediction
+    (regression), or, when `epsilon` is None, the base prediction's side of
+    the 0.5 threshold (classification).  `limits` is the only place a
+    prediction is judged: exact verdicts, counterexample sides, hull
+    certificates and minimum flips all derive from it.
+    """
+
+    epsilon: float | None
+
+    @classmethod
+    def band(cls, epsilon: float) -> Decision:
+        if epsilon is None or not epsilon >= 0:
+            raise ValueError(f"robustness radius must be >= 0, got {epsilon}")
+        return cls(float(epsilon))
+
+    @classmethod
+    def threshold(cls) -> Decision:
+        return cls(None)
+
+    @classmethod
+    def for_task(cls, task: str, epsilon: float | None) -> Decision:
+        return cls.threshold() if task == "classification" else cls.band(epsilon)
+
+    @staticmethod
+    def label(prediction):
+        """Class of a prediction (or array of them) under the threshold rule."""
+        return prediction >= DECISION_THRESHOLD
+
+    def limits(self, base: float) -> tuple[float, float]:
+        """Closed range of predictions that keep the decision made at `base`."""
+        if self.epsilon is not None:
+            return base - self.epsilon, base + self.epsilon
+        if self.label(base):
+            return DECISION_THRESHOLD, math.inf
+        return -math.inf, _BELOW_THRESHOLD
+
+    def breach(self, base: float, lo: float, hi: float) -> tuple[bool, str]:
+        """Whether the prediction range [lo, hi] escapes the limits, and from which end.
+
+        The end is the one reaching further past its limit ("upper" on ties);
+        under the threshold rule only the end toward the other class can.
+        """
+        low, high = self.limits(base)
+        over, under = hi - high, low - lo
+        return max(over, under) > 0, "upper" if over >= under else "lower"
+
+    def escapes(self, base: float, predictions: np.ndarray) -> np.ndarray:
+        """Elementwise: does each prediction leave the limits?"""
+        low, high = self.limits(base)
+        return (predictions < low) | (predictions > high)
 
 
 @dataclass(frozen=True)
@@ -44,18 +103,21 @@ class PredictionRange:
     lower_witness: np.ndarray
     upper_witness: np.ndarray
 
+    def witness(self, side: str) -> np.ndarray:
+        return self.upper_witness if side == "upper" else self.lower_witness
+
 
 @dataclass(frozen=True)
 class CertResult:
     """Verdict for one test point.
 
     `counterexample` is present exactly when not robust: a reachable label
-    vector whose refit prediction escapes the allowed band.
+    vector whose refit prediction escapes the decision.
     """
 
     robust: bool
     range: PredictionRange
-    epsilon: float
+    decision: Decision
     base_prediction: float
     counterexample: np.ndarray | None
 
@@ -137,70 +199,42 @@ def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> Prediction
     )
 
 
-def certify_from_influence(
-    z: np.ndarray, y: np.ndarray, spec: BiasSpec, epsilon: float, tol: float = 0.0
-) -> CertResult:
-    """Band check against a precomputed influence vector.
+def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decision) -> CertResult:
+    """Exact verdict against a precomputed influence vector.
 
-    Robust iff every reachable prediction stays within the closed band
-    [z.y - epsilon, z.y + epsilon]; equality at the boundary counts as
-    robust.  `tol` widens the band for floating-point-sensitive pipelines.
+    Robust iff the whole reachable prediction interval keeps the decision;
+    otherwise the witness of the escaping end is the counterexample.
     """
-    if epsilon < 0:
-        raise ValueError(f"robustness radius must be >= 0, got {epsilon}")
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     base = float(z @ y)
     rng = prediction_range(z, y, spec)
-    up_excess = rng.interval.hi - (base + epsilon)
-    dn_excess = (base - epsilon) - rng.interval.lo
-    robust = up_excess <= tol and dn_excess <= tol
-    counterexample = None
-    if not robust:
-        counterexample = rng.upper_witness if up_excess >= dn_excess else rng.lower_witness
-    return CertResult(robust, rng, float(epsilon), base, counterexample)
+    escaped, side = decision.breach(base, rng.interval.lo, rng.interval.hi)
+    counterexample = rng.witness(side) if escaped else None
+    return CertResult(not escaped, rng, decision, base, counterexample)
+
+
+def certify_from_influence(
+    z: np.ndarray, y: np.ndarray, spec: BiasSpec, epsilon: float
+) -> CertResult:
+    """Band check: robust iff every reachable prediction stays within the closed
+    band [z.y - epsilon, z.y + epsilon]; equality at the boundary counts as robust."""
+    return decide_exact(z, y, spec, Decision.band(epsilon))
 
 
 def certify_regression(
-    x: np.ndarray,
-    dataset: Dataset,
-    spec: BiasSpec,
-    epsilon: float,
-    lam: float = 0.0,
-    tol: float = 0.0,
+    x: np.ndarray, dataset: Dataset, spec: BiasSpec, epsilon: float, lam: float = 0.0
 ) -> CertResult:
     """Exact robustness verdict for a regression prediction band of radius epsilon."""
     _, influence = fit(dataset, lam)
     z = influence_vector(x, influence)
-    return certify_from_influence(z, dataset.y, spec, epsilon, tol)
+    return certify_from_influence(z, dataset.y, spec, epsilon)
 
 
 def classify_from_influence(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> CertResult:
-    """Decision-flip check against a precomputed influence vector.
-
-    Robust iff the whole reachable prediction interval classifies like the
-    base prediction.  A base prediction sitting exactly on the threshold is
-    robust only when the interval is degenerate.
-    """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = float(z @ y)
-    rng = prediction_range(z, y, spec)
-    lo, hi = rng.interval.lo, rng.interval.hi
-    counterexample = None
-    if base == DECISION_THRESHOLD:
-        robust = hi == lo
-        if not robust:
-            counterexample = rng.lower_witness if lo < base else rng.upper_witness
-    elif base > DECISION_THRESHOLD:
-        robust = lo >= DECISION_THRESHOLD
-        if not robust:
-            counterexample = rng.lower_witness
-    else:
-        robust = hi < DECISION_THRESHOLD
-        if not robust:
-            counterexample = rng.upper_witness
-    return CertResult(robust, rng, abs(base - DECISION_THRESHOLD), base, counterexample)
+    """Decision-flip check: robust iff every reachable prediction classifies like
+    the base prediction under the 0.5 threshold."""
+    return decide_exact(z, y, spec, Decision.threshold())
 
 
 def certify_classification(
@@ -215,25 +249,17 @@ def certify_classification(
 
 
 def min_flips_from_influence(
-    z: np.ndarray,
-    y: np.ndarray,
-    delta: PerturbationVector,
-    epsilon: float,
-    tol: float = 0.0,
-    side: str = "both",
+    z: np.ndarray, y: np.ndarray, delta: PerturbationVector, decision: Decision
 ) -> MinFlipsResult | None:
-    """Smallest number of label changes that pushes the prediction out of the band.
+    """Smallest number of label changes that makes the prediction escape the decision.
 
     Greedy by impact: the k-th step perturbs the unused label with the
     largest remaining impact, so after k steps the prediction sits at the
-    extreme reachable with budget k.  Returns None when every label with a
-    nonzero impact is exhausted and the band still holds.  `side` restricts
-    the search to upward ("upper") or downward ("lower") excursions.
+    extreme reachable with budget k.  Upward and downward excursions are
+    searched separately; the smaller budget wins, the upward one on ties.
+    Returns None when every label with a nonzero impact is exhausted and the
+    decision still holds.
     """
-    if epsilon < 0:
-        raise ValueError(f"robustness radius must be >= 0, got {epsilon}")
-    if side not in ("both", "upper", "lower"):
-        raise ValueError(f"side must be 'both', 'upper' or 'lower', got {side!r}")
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.shape != y.shape or y.shape != delta.lo.shape:
@@ -241,36 +267,22 @@ def min_flips_from_influence(
             f"shapes z{z.shape}, y{y.shape} inconsistent with {delta.lo.shape} intervals"
         )
     impacts = potential_impacts(z, delta)
-    limit = epsilon + tol
-
-    def first_breaking(imp: np.ndarray, maximize: bool) -> tuple[int, np.ndarray] | None:
-        order = np.argsort(-imp if maximize else imp, kind="stable")
-        vals = imp[order]
-        vals = vals[vals > 0] if maximize else -vals[vals < 0]
-        if vals.size == 0:
-            return None
-        cum = np.cumsum(vals)
-        breaking = np.nonzero(cum > limit)[0]
-        if breaking.size == 0:
-            return None
-        k = int(breaking[0]) + 1
-        return k, order[:k]
-
-    found: list[tuple[int, str, np.ndarray]] = []
-    if side in ("both", "upper"):
-        hit = first_breaking(impacts.positive, maximize=True)
-        if hit is not None:
-            found.append((hit[0], "upper", hit[1]))
-    if side in ("both", "lower"):
-        hit = first_breaking(impacts.negative, maximize=False)
-        if hit is not None:
-            found.append((hit[0], "lower", hit[1]))
-    if not found:
+    base = float(z @ y)
+    best = None
+    for side, imp in (("upper", impacts.positive), ("lower", impacts.negative)):
+        if not decision.escapes(base, base + imp.sum()):
+            continue  # moving every label this way still keeps the decision
+        order = np.argsort(-np.abs(imp), kind="stable")
+        steps = imp[order]
+        reach = base + np.cumsum(steps[steps != 0])
+        breaking = np.flatnonzero(decision.escapes(base, reach))
+        if breaking.size and (best is None or breaking[0] + 1 < best[0]):
+            best = (int(breaking[0]) + 1, side, order)
+    if best is None:
         return None
-    # Prefer the smaller budget; on ties the upward excursion (listed first).
-    flips, which, idx = min(found, key=lambda item: item[0])
-    witness = _perturbed(y, z, delta, idx, upward=which == "upper")
-    return MinFlipsResult(flips, witness, float(z @ witness), which)
+    flips, side, order = best
+    witness = _perturbed(y, z, delta, order[:flips], upward=side == "upper")
+    return MinFlipsResult(flips, witness, float(z @ witness), side)
 
 
 def min_flips(
@@ -279,10 +291,8 @@ def min_flips(
     delta: PerturbationVector,
     epsilon: float,
     lam: float = 0.0,
-    tol: float = 0.0,
-    side: str = "both",
 ) -> MinFlipsResult | None:
-    """Smallest budget at which the test point stops being robust, if any."""
+    """Smallest budget at which the prediction band of radius epsilon breaks, if any."""
     _, influence = fit(dataset, lam)
     z = influence_vector(x, influence)
-    return min_flips_from_influence(z, dataset.y, delta, epsilon, tol, side)
+    return min_flips_from_influence(z, dataset.y, delta, Decision.band(epsilon))

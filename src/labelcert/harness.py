@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import certify_approx, certify_approx_classification, model_hull
+from .approx import decide_approx, model_hull
 from .bias import BiasSpec, PerturbationVector, contains
 from .config import ExperimentConfig, build_delta, resolve_budget
 from .data import SplitConfig, kfold, load_csv, split
@@ -29,13 +29,8 @@ from .errors import (
     NoAttackExists,
     TooFewRows,
 )
-from .exact import (
-    certify_from_influence,
-    classify_from_influence,
-    min_flips_from_influence,
-    prediction_range,
-)
-from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict, solve_ridge
+from .exact import Decision, decide_exact, min_flips_from_influence, prediction_range
+from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict
 
 WORKERS_ENV = "LABELCERT_WORKERS"
 
@@ -63,21 +58,16 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _exact_verdicts(influence, train_y, X_test, task, spec, epsilon, workers) -> np.ndarray:
+def _exact_verdicts(influence, train_y, X_test, spec, decision, workers) -> np.ndarray:
     def one(i: int) -> bool:
-        z = X_test[i] @ influence.values
-        if task == "classification":
-            return classify_from_influence(z, train_y, spec).robust
-        return certify_from_influence(z, train_y, spec, epsilon).robust
+        return decide_exact(X_test[i] @ influence.values, train_y, spec, decision).robust
 
     return _map_points(one, len(X_test), workers)
 
 
-def _approx_verdicts(hull, theta, X_test, task, epsilon, workers) -> np.ndarray:
+def _approx_verdicts(hull, theta, X_test, decision, workers) -> np.ndarray:
     def one(i: int) -> bool:
-        if task == "classification":
-            return certify_approx_classification(hull, theta, X_test[i]).certified
-        return certify_approx(hull, theta, X_test[i], epsilon).certified
+        return decide_approx(hull, theta, X_test[i], decision).certified
 
     return _map_points(one, len(X_test), workers)
 
@@ -94,12 +84,13 @@ def robustness_rate(
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
     workers = worker_count(workers)
+    decision = Decision.for_task(task, epsilon)
     theta, influence = fit(train, lam)
     if method == "exact":
-        verdicts = _exact_verdicts(influence, train.y, X_test, task, spec, epsilon, workers)
+        verdicts = _exact_verdicts(influence, train.y, X_test, spec, decision, workers)
     elif method == "approx":
         hull = model_hull(influence, train.y, spec)
-        verdicts = _approx_verdicts(hull, theta, X_test, task, epsilon, workers)
+        verdicts = _approx_verdicts(hull, theta, X_test, decision, workers)
     else:
         raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
     fraction = float(verdicts.mean()) if verdicts.size else float("nan")
@@ -110,7 +101,7 @@ def _accuracy(theta: ModelCoefficients, X: np.ndarray, y: np.ndarray, task: str)
     """Validation score: classification accuracy, or negative MSE for regression."""
     preds = X @ theta.values
     if task == "classification":
-        return float(np.mean((preds >= 0.5) == (y == 1.0)))
+        return float(np.mean(Decision.label(preds) == (y == 1.0)))
     return -float(np.mean((preds - y) ** 2))
 
 
@@ -145,7 +136,7 @@ def lambda_sweep(
         raise EmptyGrid("lambda grid is empty")
     if val.n == 0:
         raise TooFewRows("lambda sweep needs a nonempty validation split")
-    accuracies = {lam: _accuracy(solve_ridge(train, lam), val.X, val.y, task) for lam in grid}
+    accuracies = {lam: _accuracy(fit(train, lam)[0], val.X, val.y, task) for lam in grid}
     best = max(accuracies.values())
     if task == "classification":
         floor = best - tolerance_pct / 100.0
@@ -226,6 +217,7 @@ def _fold_splits(dataset: Dataset, config: ExperimentConfig):
 
 def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timings):
     delta = build_delta(config, train)
+    decision = Decision.for_task(config.task, config.epsilon)
     sweep_info = None
     if len(config.lambda_grid) > 1:
         if val is None:
@@ -236,7 +228,6 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
             config.lambda_grid, config.accuracy_tolerance, workers,
         )
         lam = sweep.chosen_lam
-        accuracy = sweep.accuracies[lam]
         sweep_info = {
             "reference_budget": ref,
             "accuracies": {str(l): sweep.accuracies[l] for l in config.lambda_grid},
@@ -245,13 +236,9 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
         }
     else:
         lam = config.lambda_grid[0]
-        accuracy = (
-            _accuracy(solve_ridge(train, lam), val.X, val.y, config.task)
-            if val is not None
-            else None
-        )
 
     theta, influence = fit(train, lam)
+    accuracy = _accuracy(theta, val.X, val.y, config.task) if val is not None else None
     rates: dict = {m: {} for m in methods}
     verdicts: dict = {m: {} for m in methods}
     fold_groups: dict = {m: {} for m in methods}
@@ -260,15 +247,13 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
         spec = BiasSpec(delta, resolve_budget(entry, train.n))
         if "exact" in methods:
             start = time.perf_counter()
-            v = _exact_verdicts(
-                influence, train.y, test.X, config.task, spec, config.epsilon, workers
-            )
+            v = _exact_verdicts(influence, train.y, test.X, spec, decision, workers)
             timings["exact"] = timings.get("exact", 0.0) + time.perf_counter() - start
             verdicts["exact"][label] = v
         if "approx" in methods:
             start = time.perf_counter()
             hull = model_hull(influence, train.y, spec)
-            v = _approx_verdicts(hull, theta, test.X, config.task, config.epsilon, workers)
+            v = _approx_verdicts(hull, theta, test.X, decision, workers)
             timings["approx"] = timings.get("approx", 0.0) + time.perf_counter() - start
             verdicts["approx"][label] = v
         for m in methods:
@@ -277,10 +262,11 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
             if test.group_labels is not None and v.size:
                 fold_groups[m][label] = group_rates(v, test.group_labels)
         if "exact" in methods and "approx" in methods:
-            if rates["approx"][label] > rates["exact"][label] + 1e-12:
+            unsound = np.flatnonzero(verdicts["approx"][label] & ~verdicts["exact"][label])
+            if unsound.size:
                 raise RuntimeError(
-                    f"soundness violation: approximate rate {rates['approx'][label]} "
-                    f"exceeds exact rate {rates['exact'][label]} at budget {label}"
+                    f"soundness violation: approx certified test row {unsound[0]}, "
+                    f"which exact finds non-robust, at budget {label}"
                 )
     return {
         "chosen_lambda": float(lam),
@@ -434,16 +420,17 @@ def timing_report(
     coefficient hull.
     """
     workers = worker_count(workers)
+    decision = Decision.for_task(task, epsilon)
     theta, influence = fit(train, lam)
 
     start = time.perf_counter()
-    exact = _exact_verdicts(influence, train.y, X_test, task, spec, epsilon, workers)
+    exact = _exact_verdicts(influence, train.y, X_test, spec, decision, workers)
     exact_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     hull = model_hull(influence, train.y, spec)
     hull_seconds = time.perf_counter() - start
-    approx = _approx_verdicts(hull, theta, X_test, task, epsilon, workers)
+    approx = _approx_verdicts(hull, theta, X_test, decision, workers)
     approx_seconds = time.perf_counter() - start
 
     return {
@@ -473,14 +460,13 @@ def export_attack(
     original labels in exactly the requested number of rows).
     """
     y = dataset.y
+    threshold = Decision.threshold()
     _, influence = fit(dataset, lam)
     z = influence_vector(x, influence)
     base = float(z @ y)
-    base_class = base >= 0.5
 
     if flips == "minimal":
-        side = "lower" if base_class else "upper"
-        result = min_flips_from_influence(z, y, delta, abs(base - 0.5), side=side)
+        result = min_flips_from_influence(z, y, delta, threshold)
         if result is None:
             raise NoAttackExists(
                 "no reachable label perturbation changes this prediction"
@@ -491,20 +477,20 @@ def export_attack(
         k = int(flips)
         if not 0 <= k <= dataset.n:
             raise ValueError(f"flip count must be in [0, {dataset.n}], got {flips!r}")
-        spec = BiasSpec(delta, k)
-        rng = prediction_range(z, y, spec)
-        y_tilde = np.array(rng.lower_witness if base_class else rng.upper_witness)
-        changed = np.flatnonzero(y_tilde != y)
-        if changed.size < k:
-            y_tilde = _pad_attack(y, y_tilde, z, delta, k, base_class)
+        rng = prediction_range(z, y, BiasSpec(delta, k))
+        _, side = threshold.breach(base, rng.interval.lo, rng.interval.hi)
+        y_tilde = np.array(rng.witness(side))
+        if np.count_nonzero(y_tilde != y) < k:
+            y_tilde = _pad_attack(y, y_tilde, z, delta, k, upward=side == "upper")
         mode, requested = "fixed", k
 
     changed = np.flatnonzero(y_tilde != y)
     spec = BiasSpec(delta, len(changed) if flips == "minimal" else int(flips))
     if not contains(spec, y, y_tilde):
         raise RuntimeError("internal error: exported attack escapes the bias set")
-    refit = solve_ridge(dataset.with_labels(y_tilde), lam)
+    refit, _ = fit(dataset.with_labels(y_tilde), lam)
     new_pred = predict(refit, x)
+    old_class, new_class = Decision.label(base), Decision.label(new_pred)
 
     with open(labels_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -519,14 +505,14 @@ def export_attack(
         "changed_count": int(changed.size),
         "old_prediction": base,
         "new_prediction": float(new_pred),
-        "old_class": int(base_class),
-        "new_class": int(new_pred >= 0.5),
-        "flipped": bool((new_pred >= 0.5) != base_class),
+        "old_class": int(old_class),
+        "new_class": int(new_class),
+        "flipped": bool(new_class != old_class),
         "labels_path": str(labels_path),
     }
 
 
-def _pad_attack(y, y_tilde, z, delta, k, base_class) -> np.ndarray:
+def _pad_attack(y, y_tilde, z, delta, k, upward) -> np.ndarray:
     """Top up a fixed-budget attack to exactly k changed rows.
 
     Untouched rows are changed by their most attack-friendly nonzero
@@ -539,13 +525,13 @@ def _pad_attack(y, y_tilde, z, delta, k, base_class) -> np.ndarray:
     for i in range(len(y)):
         if y_tilde[i] != y[i]:
             continue
-        toward = delta.lo[i] if (z[i] >= 0) == base_class else delta.hi[i]
-        other = delta.hi[i] if (z[i] >= 0) == base_class else delta.lo[i]
+        toward = delta.hi[i] if (z[i] >= 0) == upward else delta.lo[i]
+        other = delta.lo[i] if (z[i] >= 0) == upward else delta.hi[i]
         d = toward if toward != 0 else other
         if d == 0:
             continue
         effect = z[i] * d
-        gain = -effect if base_class else effect  # toward the decision flip
+        gain = effect if upward else -effect  # toward the decision flip
         candidates.append((-gain, i, d))
     candidates.sort()
     if len(candidates) < need:

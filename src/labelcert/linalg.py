@@ -136,8 +136,14 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"ridge strength must be finite and >= 0, got {lam}")
 
 
-def _spd_factor(dataset: Dataset, lam: float):
-    """Factor X'X + lam*I once; raise SingularMatrix if it is not safely SPD."""
+def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, InfluenceMatrix]:
+    """Fit theta = C y together with the influence matrix C = (X'X + lam*I)^-1 X'.
+
+    One factorization serves every label vector: C @ y' is the refit for any
+    labels y', so C amortizes over any number of test points and label
+    variants.  Raises SingularMatrix when X'X + lam*I is not safely positive
+    definite (typically lam = 0 with collinear features).
+    """
     _check_lam(lam)
     gram = dataset.X.T @ dataset.X + lam * np.eye(dataset.m)
     try:
@@ -153,37 +159,8 @@ def _spd_factor(dataset: Dataset, lam: float):
             f"(pivot ratio {pivots.min() / np.diag(gram).max():.3e}); "
             "increase the ridge strength"
         )
-    return factor
-
-
-def solve_ridge(dataset: Dataset, lam: float = 0.0) -> ModelCoefficients:
-    """Fit theta = (X'X + lam*I)^-1 X'y.
-
-    Raises SingularMatrix when lam = 0 and X'X is numerically singular.
-    """
-    factor = _spd_factor(dataset, lam)
-    theta = cho_solve(factor, dataset.X.T @ dataset.y)
-    return ModelCoefficients(theta, lam)
-
-
-def influence_matrix(dataset: Dataset, lam: float = 0.0) -> InfluenceMatrix:
-    """Compute C = (X'X + lam*I)^-1 X', the label-to-coefficient sensitivities.
-
-    C @ y equals solve_ridge(dataset, lam).values for every label vector y,
-    so building C once amortizes the factorization over any number of test
-    points and label variants.
-    """
-    factor = _spd_factor(dataset, lam)
     C = cho_solve(factor, dataset.X.T)
-    return InfluenceMatrix(C, lam)
-
-
-def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, InfluenceMatrix]:
-    """Solve and build the influence matrix from a single factorization."""
-    factor = _spd_factor(dataset, lam)
-    C = cho_solve(factor, dataset.X.T)
-    theta = C @ dataset.y
-    return ModelCoefficients(theta, lam), InfluenceMatrix(C, lam)
+    return ModelCoefficients(C @ dataset.y, lam), InfluenceMatrix(C, lam)
 
 
 def influence_vector(x: np.ndarray, influence: InfluenceMatrix) -> np.ndarray:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from labelcert import BiasSpec, Dataset, PerturbationVector
+from labelcert import BiasSpec, Dataset
+from labelcert.bias import PerturbationVector
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .bias import BiasSpec, Interval
-from .errors import DimensionMismatch, InstanceTooLarge, NonBinaryLabel
-from .linalg import Dataset, predict, solve_ridge
+from labelcert.bias import BiasSpec, Interval
+from labelcert.errors import DimensionMismatch, LabelCertError, NonBinaryLabel
+from labelcert.linalg import Dataset, fit, predict
 
 MAX_LABELS = 15
 MAX_BUDGET = 3
@@ -25,6 +25,10 @@ MAX_FLIP_BUDGET = 2
 # The objective is affine per coordinate, so these can never win; they are a
 # belt-and-braces check on that argument.
 _INTERIOR = (0.25, 0.5, 0.75)
+
+
+class InstanceTooLarge(LabelCertError):
+    """The instance exceeds the enumeration budget."""
 
 
 def _guard(n: int, budget: int) -> None:
@@ -108,7 +112,7 @@ def brute_force_classification(
             f"budget <= {MAX_FLIP_BUDGET}; got n={dataset.n}, budget={spec.budget}"
         )
 
-    base_class = predict(solve_ridge(dataset, lam), x) >= 0.5
+    base_class = predict(fit(dataset, lam)[0], x) >= 0.5
     flip = 1.0 - 2.0 * y  # -1 where y=1, +1 where y=0
     allowed = [i for i in range(dataset.n) if spec.delta.lo[i] <= flip[i] <= spec.delta.hi[i]]
 
@@ -116,7 +120,7 @@ def brute_force_classification(
         for subset in combinations(allowed, size):
             flipped = y.copy()
             flipped[list(subset)] = 1.0 - flipped[list(subset)]
-            pred = predict(solve_ridge(dataset.with_labels(flipped), lam), x)
+            pred = predict(fit(dataset.with_labels(flipped), lam)[0], x)
             if (pred >= 0.5) != base_class:
                 return False
     return True

@@ -11,36 +11,28 @@ import numpy as np
 from labelcert import (
     BiasSpec,
     Dataset,
-    InfluenceMatrix,
     TargetPredicate,
     apply_targeting,
-    brute_force_classification,
-    brute_force_hull,
-    brute_force_range,
     certify_approx,
     certify_classification,
-    certify_from_influence,
     classification_delta,
-    contains,
-    export_attack,
     fit,
     group_rates,
-    influence_vector,
-    interval_predict,
     model_hull,
-    potential_impacts,
-    prediction_range,
     robustness_rate,
-    scale_delta,
-    solve_ridge,
-    predict,
     synth_classification,
     synth_demographic,
     timing_report,
     uniform_delta,
 )
+from labelcert.approx import interval_predict
+from labelcert.bias import contains, scale_delta
 from labelcert.data import SplitConfig, split, with_bias_column
+from labelcert.exact import certify_from_influence, potential_impacts, prediction_range
+from labelcert.harness import export_attack
+from labelcert.linalg import InfluenceMatrix, influence_vector, predict
 from conftest import random_delta, random_instance, sample_bias_members
+from oracle import brute_force_classification, brute_force_hull, brute_force_range
 
 
 def _report(criterion: str):
@@ -330,7 +322,7 @@ def test_c10_attack_self_consistency(tmp_path):
             labels = np.array(
                 [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
             )
-            refit = solve_ridge(train.with_labels(labels), 0.5)
+            refit = fit(train.with_labels(labels), 0.5)[0]
             assert (predict(refit, x) >= 0.5) != (summary["old_class"] == 1)
             assert contains(BiasSpec(delta, summary["changed_count"]), train.y, labels)
     assert minimal_checked >= 5

@@ -6,26 +6,20 @@ import pytest
 from labelcert import (
     BiasSpec,
     Dataset,
-    InfluenceMatrix,
-    Interval,
-    ModelCoefficients,
-    brute_force_hull,
     certify_approx,
     certify_approx_classification,
-    certify_from_influence,
     fit,
-    hull_from_dict,
-    hull_to_dict,
-    influence_vector,
-    interval_predict,
     load_hull,
     model_hull,
-    prediction_range,
-    save_hull,
     uniform_delta,
 )
+from labelcert.approx import hull_from_dict, hull_to_dict, interval_predict, save_hull
+from labelcert.bias import Interval
 from labelcert.errors import DimensionMismatch
+from labelcert.exact import certify_from_influence, prediction_range
+from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members
+from oracle import brute_force_hull
 
 # Three-coefficient worked example: the reachable coefficient set is
 # non-convex but its tight interval box is ([-2,4],[0,6],[-2,4]).

@@ -8,21 +8,13 @@ from hypothesis import strategies as st
 from labelcert import (
     BiasSpec,
     Dataset,
-    Interval,
-    PerturbationVector,
     TargetPredicate,
     apply_targeting,
     classification_delta,
-    contains,
-    scale_delta,
     uniform_delta,
 )
-from labelcert.errors import (
-    DimensionMismatch,
-    NonBinaryLabel,
-    NonPositiveScale,
-    UnknownColumn,
-)
+from labelcert.bias import Interval, PerturbationVector, contains, scale_delta
+from labelcert.errors import DimensionMismatch, NonBinaryLabel, NonPositiveScale, UnknownColumn
 from conftest import dyadic_instances
 
 

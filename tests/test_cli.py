@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from labelcert import BiasSpec, classification_delta, fit, synth_classification, with_bias_column
 from labelcert.cli import main
+from labelcert.data import SplitConfig, split, write_csv
+from labelcert.exact import classify_from_influence
+from labelcert.linalg import influence_vector
 
 CONFIG_TEMPLATE = """
 task = "classification"
@@ -98,6 +102,36 @@ class TestMinFlips:
         assert code == 0
         lines = (out / "min_flips.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("3,")
+
+    def test_agrees_with_classification_verdicts(self, tmp_path):
+        # each reported k is the smallest budget at which the class can flip
+        dataset = synth_classification(400, 3, seed=1)
+        write_csv(dataset, tmp_path / "data.csv")
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f'task = "classification"\nseed = 1\nlambda_grid = [0.1]\n'
+            f'[dataset]\npath = "{tmp_path / "data.csv"}"\nlabel = "label"\n'
+            f'features = ["f1", "f2", "f3"]\nadd_bias_column = true\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["min-flips", "--config", str(config), "--out-dir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "min_flips.csv").read_text().splitlines()[1:]]
+
+        train, _, test = split(with_bias_column(dataset), SplitConfig(seed=1))
+        _, influence = fit(train, 0.1)
+        delta = classification_delta(train.y)
+        assert len(rows) == test.n == 40
+        for row, flips, _ in rows:
+            z = influence_vector(test.X[int(row)], influence)
+
+            def robust(k):
+                return classify_from_influence(z, train.y, BiasSpec(delta, k)).robust
+
+            if not flips:
+                assert robust(train.n), row
+            else:
+                assert not robust(int(flips)) and robust(int(flips) - 1), row
 
 
 class TestHull:

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from labelcert import (
-    Dataset,
+from labelcert import Dataset, synth_classification, synth_demographic
+from labelcert.data import (
     DatasetSchema,
     SplitConfig,
     kfold,
     load_csv,
+    read_delta_csv,
+    schema_for,
     split,
-    synth_classification,
-    synth_demographic,
     write_csv,
 )
-from labelcert.data import read_delta_csv, schema_for
 from labelcert.errors import (
     BadFeatureCount,
     BadFraction,

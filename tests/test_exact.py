@@ -7,30 +7,73 @@ from hypothesis import given, settings
 from labelcert import (
     BiasSpec,
     Dataset,
-    PerturbationVector,
-    brute_force_classification,
-    brute_force_range,
     certify_classification,
-    certify_from_influence,
     certify_regression,
     classification_delta,
-    classify_from_influence,
-    contains,
     min_flips,
+    uniform_delta,
+)
+from labelcert.bias import PerturbationVector, contains, scale_delta
+from labelcert.errors import DimensionMismatch, NonBinaryLabel
+from labelcert.exact import (
+    Decision,
+    certify_from_influence,
+    classify_from_influence,
     min_flips_from_influence,
     potential_impacts,
     prediction_range,
-    scale_delta,
-    uniform_delta,
 )
-from labelcert.errors import DimensionMismatch, NonBinaryLabel
 from conftest import dyadic_instances, random_dataset, random_instance
+from oracle import brute_force_classification, brute_force_range
 
 # The two-label worked example used throughout: z = (-1, 2), y = (3, 4),
 # every label may move within [-1, 1], at most one label changes.
 Z2 = np.array([-1.0, 2.0])
 Y2 = np.array([3.0, 4.0])
 SPEC2 = BiasSpec(uniform_delta(2, 1.0), 1)
+
+
+class TestDecision:
+    def test_band_is_closed(self):
+        band = Decision.band(2.0)
+        assert band.limits(5.0) == (3.0, 7.0)
+        assert band.breach(5.0, 3.0, 7.0) == (False, "upper")
+        assert band.breach(5.0, 2.5, 7.0) == (True, "lower")
+        np.testing.assert_array_equal(band.escapes(5.0, np.array([2.5, 3.0, 7.0, 7.5])),
+                                      [True, False, False, True])
+
+    def test_band_counterexample_side_is_the_further_escape(self):
+        band = Decision.band(1.0)
+        assert band.breach(5.0, 3.0, 7.0) == (True, "upper")  # equal excess: upper
+        assert band.breach(5.0, 2.0, 7.0) == (True, "lower")
+
+    def test_threshold_half_is_class_one(self):
+        below = np.nextafter(0.5, 0.0)
+        threshold = Decision.threshold()
+        assert Decision.label(0.5) and not Decision.label(below)
+        # class 1 escapes strictly below 0.5, class 0 escapes at 0.5
+        np.testing.assert_array_equal(threshold.escapes(0.75, np.array([0.5, below])),
+                                      [False, True])
+        np.testing.assert_array_equal(threshold.escapes(0.25, np.array([below, 0.5])),
+                                      [False, True])
+        assert threshold.escapes(0.5, below) and not threshold.escapes(0.5, 9.0)
+
+    def test_threshold_breaks_only_toward_the_other_class(self):
+        threshold = Decision.threshold()
+        assert threshold.breach(0.5, 0.5, 0.9) == (False, "lower")
+        assert threshold.breach(0.7, 0.4, 0.9) == (True, "lower")
+        assert threshold.breach(0.3, 0.1, 0.5) == (True, "upper")
+
+    def test_band_radius_validated(self):
+        for bad in (-0.1, None, float("nan")):
+            with pytest.raises(ValueError):
+                Decision.band(bad)
+
+    def test_for_task(self):
+        assert Decision.for_task("classification", 3.0) == Decision.threshold()
+        assert Decision.for_task("regression", 3.0) == Decision.band(3.0)
+        with pytest.raises(ValueError):
+            Decision.for_task("regression", None)
 
 
 class TestPotentialImpacts:
@@ -242,14 +285,14 @@ class TestCertifyClassification:
 class TestMinFlips:
     def test_worked_example_exhausts(self):
         # both labels perturbed gives V = [2, 8] inside the closed band [2, 8]
-        result = min_flips_from_influence(Z2, Y2, SPEC2.delta, epsilon=3.0)
+        result = min_flips_from_influence(Z2, Y2, SPEC2.delta, Decision.band(3.0))
         assert result is None
 
     def test_zero_epsilon_single_flip(self, rng):
         z, y, spec = random_instance(rng, 6, 1)
         imp = potential_impacts(z, spec.delta)
         if imp.positive.max() > 0 or imp.negative.min() < 0:
-            result = min_flips_from_influence(z, y, spec.delta, epsilon=0.0)
+            result = min_flips_from_influence(z, y, spec.delta, Decision.band(0.0))
             assert result.flips == 1
 
     def test_matches_brute_force_sweep(self, rng):
@@ -263,7 +306,7 @@ class TestMinFlips:
                 if v.hi > base + eps or v.lo < base - eps:
                     expected = k
                     break
-            result = min_flips_from_influence(z, y, spec.delta, eps)
+            result = min_flips_from_influence(z, y, spec.delta, Decision.band(eps))
             if expected is None:
                 assert result is None or result.flips > 3
             else:
@@ -273,7 +316,7 @@ class TestMinFlips:
         for _ in range(20):
             z, y, spec = random_instance(rng, 10, 3)
             eps = rng.uniform(0.05, 1.0)
-            result = min_flips_from_influence(z, y, spec.delta, eps)
+            result = min_flips_from_influence(z, y, spec.delta, Decision.band(eps))
             if result is not None:
                 assert abs(z @ result.witness - z @ y) > eps
                 changed = np.count_nonzero(result.witness - y)
@@ -287,11 +330,12 @@ class TestMinFlips:
 
     def test_one_sided_search(self):
         z = np.array([1.0, 1.0])
-        y = np.zeros(2)
+        y = np.array([0.5, 0.25])
         delta = PerturbationVector(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        # only upward excursions exist; a lower-side search finds nothing
-        assert min_flips_from_influence(z, y, delta, 0.5, side="lower") is None
-        up = min_flips_from_influence(z, y, delta, 0.5, side="upper")
+        # base 0.75 is class 1 and only upward impacts exist: the class cannot flip
+        assert min_flips_from_influence(z, y, delta, Decision.threshold()) is None
+        # the same upward moves do break a band
+        up = min_flips_from_influence(z, y, delta, Decision.band(0.5))
         assert up.flips == 1 and up.side == "upper"
 
     @given(dyadic_instances(max_n=6))
@@ -299,7 +343,7 @@ class TestMinFlips:
     def test_consistent_with_band_verdicts(self, instance):
         # the returned budget is the first at which certification fails
         z, y, spec = instance
-        result = min_flips_from_influence(z, y, spec.delta, epsilon=1.0)
+        result = min_flips_from_influence(z, y, spec.delta, Decision.band(1.0))
         if result is None:
             for k in range(spec.n + 1):
                 assert certify_from_influence(z, y, BiasSpec(spec.delta, k), 1.0).robust
@@ -307,6 +351,20 @@ class TestMinFlips:
             k = result.flips
             assert not certify_from_influence(z, y, BiasSpec(spec.delta, k), 1.0).robust
             assert certify_from_influence(z, y, BiasSpec(spec.delta, k - 1), 1.0).robust
+
+    @given(dyadic_instances(max_n=6))
+    @settings(max_examples=80)
+    def test_consistent_with_threshold_verdicts(self, instance):
+        # dyadic values reach 0.5 exactly, so the strict side of the rule is exercised
+        z, y, spec = instance
+        result = min_flips_from_influence(z, y, spec.delta, Decision.threshold())
+        if result is None:
+            assert classify_from_influence(z, y, BiasSpec(spec.delta, spec.n)).robust
+        else:
+            k = result.flips
+            assert not classify_from_influence(z, y, BiasSpec(spec.delta, k)).robust
+            assert classify_from_influence(z, y, BiasSpec(spec.delta, k - 1)).robust
+            assert Decision.label(z @ result.witness) != Decision.label(z @ y)
 
 
 class TestBinaryExactness:

@@ -10,23 +10,26 @@ from labelcert import (
     BiasSpec,
     Dataset,
     classification_delta,
-    contains,
-    export_attack,
+    fit,
     group_rates,
-    lambda_sweep,
     robustness_rate,
-    run_experiment,
-    solve_ridge,
-    predict,
     synth_classification,
     synth_demographic,
     timing_report,
     uniform_delta,
 )
+from labelcert.bias import contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
-from labelcert.harness import render_csv_tables, write_report
+from labelcert.harness import (
+    export_attack,
+    lambda_sweep,
+    render_csv_tables,
+    run_experiment,
+    write_report,
+)
+from labelcert.linalg import predict
 
 
 def _train_test(seed=0, n=240, features=3):
@@ -171,7 +174,7 @@ class TestExportAttack:
         return Dataset(X, y)
 
     def test_minimal_attack_flips_prediction(self, tmp_path):
-        from labelcert import brute_force_classification
+        from oracle import brute_force_classification
 
         ds = self._flippable_dataset()
         delta = classification_delta(ds.y)
@@ -184,7 +187,7 @@ class TestExportAttack:
         assert summary["new_class"] != summary["old_class"]
         labels = _read_labels(tmp_path / "labels.csv")
         assert int(np.count_nonzero(labels != ds.y)) == 1
-        refit = solve_ridge(ds.with_labels(labels), 0.05)
+        refit = fit(ds.with_labels(labels), 0.05)[0]
         assert (predict(refit, x) >= 0.5) != (summary["old_class"] == 1)
 
     def test_fixed_budget_changes_exact_count(self, tmp_path):
@@ -285,6 +288,20 @@ class TestRunExperiment:
         report = run_experiment(config)
         fold = report.per_fold[0]
         assert "minority" in fold["group_rates"]["exact"][report.budgets[0]]
+
+    def test_soundness_checked_per_point(self, tmp_path, monkeypatch):
+        from labelcert import harness
+
+        ds = synth_classification(200, 3, seed=17)
+        config = self._config(tmp_path, ds)
+        exact = run_experiment(config, methods=("exact",)).per_fold[0]["verdicts"]["exact"]
+        # shifted exact verdicts keep the certified rate but certify a non-robust row
+        shifted = {label: np.roll(np.array(v), 1) for label, v in exact.items()}
+        first = int(np.flatnonzero(shifted["0.5%"] & ~np.array(exact["0.5%"]))[0])
+        labels = iter(("0.5%", "2%"))
+        monkeypatch.setattr(harness, "_approx_verdicts", lambda *args: shifted[next(labels)])
+        with pytest.raises(RuntimeError, match=rf"test row {first}, .* budget 0\.5%"):
+            run_experiment(config)
 
     def test_written_files(self, tmp_path):
         ds = synth_classification(200, 3, seed=16)

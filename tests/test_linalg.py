@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from labelcert import (
-    Dataset,
-    InfluenceMatrix,
-    ModelCoefficients,
-    fit,
-    influence_matrix,
-    influence_vector,
-    predict,
-    solve_ridge,
-)
+from labelcert import Dataset, fit
 from labelcert.errors import DimensionMismatch, SingularMatrix
+from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector, predict
 
 
 def gradient_descent_ridge(X, y, lam, iters=40000):
@@ -28,19 +20,21 @@ def gradient_descent_ridge(X, y, lam, iters=40000):
 
 
 class TestSolveRidge:
+    """The coefficient vector `fit` returns."""
+
     def test_identity_design_no_ridge(self):
         ds = Dataset(np.eye(2), np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(solve_ridge(ds, 0.0).values, [3.0, 4.0])
+        np.testing.assert_array_equal(fit(ds, 0.0)[0].values, [3.0, 4.0])
 
     def test_identity_design_unit_ridge(self):
         ds = Dataset(np.eye(2), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(solve_ridge(ds, 1.0).values, [1.5, 2.0], atol=1e-12)
+        np.testing.assert_allclose(fit(ds, 1.0)[0].values, [1.5, 2.0], atol=1e-12)
 
     def test_matches_gradient_descent(self, rng):
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
         lam = 0.7
-        closed = solve_ridge(Dataset(X, y), lam).values
+        closed = fit(Dataset(X, y), lam)[0].values
         iterative = gradient_descent_ridge(X, y, lam)
         np.testing.assert_allclose(closed, iterative, atol=1e-6, rtol=1e-6)
 
@@ -48,38 +42,45 @@ class TestSolveRidge:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])  # duplicate column
         ds = Dataset(X, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(SingularMatrix):
-            solve_ridge(ds, 0.0)
-        assert solve_ridge(ds, 1.0).values.shape == (2,)
+            fit(ds, 0.0)
+        assert fit(ds, 1.0)[0].values.shape == (2,)
 
     def test_negative_ridge_rejected(self):
         ds = Dataset(np.eye(2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            solve_ridge(ds, -0.5)
+            fit(ds, -0.5)
 
 
 class TestInfluenceMatrix:
+    """The influence matrix `fit` returns."""
+
     def test_identity_design(self):
         ds = Dataset(np.eye(2), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(influence_matrix(ds, 0.0).values, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(influence_matrix(ds, 1.0).values, 0.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit(ds, 0.0)[1].values, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit(ds, 1.0)[1].values, 0.5 * np.eye(2), atol=1e-12)
 
     def test_reproduces_solve_for_any_labels(self, rng):
         X = rng.normal(size=(10, 3))
-        inf = influence_matrix(Dataset(X, np.zeros(10)), 0.3)
+        _, inf = fit(Dataset(X, np.zeros(10)), 0.3)
         for _ in range(5):
             y = rng.normal(size=10)
-            theta = solve_ridge(Dataset(X, y), 0.3).values
+            theta = fit(Dataset(X, y), 0.3)[0].values
             np.testing.assert_allclose(inf.values @ y, theta, rtol=1e-9, atol=1e-12)
 
     def test_shape(self, rng):
         ds = Dataset(rng.normal(size=(7, 4)), rng.normal(size=7))
-        assert influence_matrix(ds, 0.1).values.shape == (4, 7)
+        assert fit(ds, 0.1)[1].values.shape == (4, 7)
 
     def test_fit_shares_factorization(self, rng):
+        # theta is C y from the same factorization, and both match a plain solve
         ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
         theta, inf = fit(ds, 0.5)
-        np.testing.assert_allclose(theta.values, solve_ridge(ds, 0.5).values, rtol=1e-12)
-        np.testing.assert_allclose(inf.values, influence_matrix(ds, 0.5).values, rtol=1e-12)
+        gram = ds.X.T @ ds.X + 0.5 * np.eye(3)
+        np.testing.assert_array_equal(theta.values, inf.values @ ds.y)
+        np.testing.assert_allclose(inf.values, np.linalg.solve(gram, ds.X.T), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            theta.values, np.linalg.solve(gram, ds.X.T @ ds.y), rtol=1e-10, atol=1e-12
+        )
 
 
 class TestInfluenceVector:
@@ -130,7 +131,7 @@ class TestPredict:
     def test_interpolates_square_system(self, rng):
         X = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
         y = rng.normal(size=4)
-        theta = solve_ridge(Dataset(X, y), 0.0)
+        theta = fit(Dataset(X, y), 0.0)[0]
         for i in range(4):
             np.testing.assert_allclose(predict(theta, X[i]), y[i], rtol=1e-9, atol=1e-9)
 

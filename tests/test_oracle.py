@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from labelcert import (
-    BiasSpec,
-    Dataset,
-    PerturbationVector,
+from labelcert import BiasSpec, Dataset, uniform_delta
+from labelcert.bias import PerturbationVector
+from labelcert.errors import NonBinaryLabel
+from conftest import random_instance
+from oracle import (
+    InstanceTooLarge,
     brute_force_classification,
     brute_force_hull,
     brute_force_range,
-    uniform_delta,
 )
-from labelcert.errors import InstanceTooLarge, NonBinaryLabel
-from conftest import random_instance
 
 
 class TestBruteForceRange:
