@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: certify, min-flips, hull, sweep, synth, attack, report.  Every
-subcommand accepts --seed, --config, and --out-dir; worker count comes from
-the LABELCERT_WORKERS environment variable.
+subcommand accepts --seed, --config, and --out-dir.
 """
 
 from __future__ import annotations
@@ -14,11 +13,12 @@ from pathlib import Path
 
 from .approx import model_hull, save_hull
 from .config import build_delta, build_spec, load_experiment_config
-from .data import load_csv, split, synth_classification, synth_demographic, write_csv
+from .data import split, synth_classification, synth_demographic, write_csv
 from .errors import LabelCertError
 from .exact import Decision, min_flips_from_influence
 from .harness import (
     export_attack,
+    load_dataset,
     render_csv_tables,
     run_experiment,
     write_report,
@@ -40,14 +40,11 @@ def _load_config(args, **extra):
     return config
 
 
-def _load_dataset(config):
-    if config.data_path is None or config.schema is None:
-        raise LabelCertError("config must provide [dataset] path and label/features")
-    return load_csv(
-        config.data_path,
-        config.schema,
-        require_binary_labels=config.task == "classification",
-    )
+def _test_row(index: int, test) -> int:
+    """Check a --index against the test split before anything is written."""
+    if not 0 <= index < test.n:
+        raise LabelCertError(f"--index must be in [0, {test.n}) for this test split, got {index}")
+    return index
 
 
 def cmd_synth(args) -> int:
@@ -99,13 +96,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_min_flips(args) -> int:
     config = _load_config(args)
-    dataset = _load_dataset(config)
+    dataset = load_dataset(config)
     train, _, test = split(dataset, config.split)
     delta = build_delta(config, train)
     lam = config.lambda_grid[0]
     _, influence = fit(train, lam)
     decision = Decision.for_task(config.task, config.epsilon)
-    rows = [args.index] if args.index is not None else range(test.n)
+    rows = [_test_row(args.index, test)] if args.index is not None else range(test.n)
     out_path = Path(config.out_dir) / "min_flips.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("row,flips,prediction\n")
@@ -122,7 +119,7 @@ def cmd_min_flips(args) -> int:
 
 def cmd_hull(args) -> int:
     config = _load_config(args)
-    dataset = _load_dataset(config)
+    dataset = load_dataset(config)
     train, _, _ = split(dataset, config.split)
     spec = build_spec(config, train, args.budget if args.budget is not None
                       else config.budgets[0])
@@ -137,9 +134,10 @@ def cmd_hull(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _load_config(args)
-    dataset = _load_dataset(config)
+    dataset = load_dataset(config)
     train, _, test = split(dataset, config.split)
     delta = build_delta(config, train)
+    index = _test_row(args.index, test)
     lam = config.lambda_grid[0]
     if args.flips == "minimal":
         flips = "minimal"
@@ -149,9 +147,9 @@ def cmd_attack(args) -> int:
         except ValueError:
             raise LabelCertError(f"--flips must be 'minimal' or a count, got {args.flips!r}")
     out = Path(config.out_dir)
-    labels_path = out / f"attack_labels_row{args.index}.csv"
-    summary = export_attack(test.X[args.index], train, delta, lam, flips, labels_path)
-    summary_path = out / f"attack_summary_row{args.index}.json"
+    labels_path = out / f"attack_labels_row{index}.csv"
+    summary = export_attack(test.X[index], train, delta, lam, flips, labels_path)
+    summary_path = out / f"attack_summary_row{index}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(summary_path)
     return 0

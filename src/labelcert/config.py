@@ -1,15 +1,15 @@
-"""Experiment configuration: a small TOML-like file format plus CLI overrides.
+"""Experiment configuration: a TOML file plus CLI overrides.
 
-The grammar (documented in the README) is a strict subset of TOML: one
-``key = value`` pair per line, one level of ``[section]`` tables, values that
-are double-quoted strings, integers, floats, booleans, or flat lists of
-those.  ``#`` starts a comment outside quotes.  Every CLI flag overrides the
-corresponding file entry.
+The file is TOML, parsed by the standard library's ``tomllib``.
+`config_from_dict` checks the document against one table of allowed keys and
+value types per TOML table; an unknown key, a section that is not a table or
+a value of the wrong type raises a `ParseError` naming the key.  Every CLI
+flag overrides the corresponding file entry.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,89 +25,13 @@ from .data import DatasetSchema, SplitConfig, read_delta_csv
 from .errors import ParseError
 from .linalg import Dataset
 
-_KEY_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_list(body: str, lineno: int) -> list[str]:
-    items, buf, quoted = [], [], False
-    for ch in body:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "," and not quoted:
-            items.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if quoted:
-        raise ParseError(f"line {lineno}: unterminated string in list")
-    items.append("".join(buf))
-    return [item.strip() for item in items if item.strip()]
-
-
-def _parse_scalar(text: str, lineno: int):
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"'):
-            raise ParseError(f"line {lineno}: unterminated string {text!r}")
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"line {lineno}: cannot parse value {text!r}") from None
-
-
-def _parse_value(text: str, lineno: int):
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ParseError(f"line {lineno}: unterminated list {text!r}")
-        return [_parse_scalar(item, lineno) for item in _split_list(text[1:-1], lineno)]
-    return _parse_scalar(text, lineno)
-
 
 def parse_config_text(text: str) -> dict:
-    """Parse the TOML-subset grammar into nested dicts."""
-    root: dict = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(f"line {lineno}: malformed table header {line!r}")
-            name = line[1:-1].strip()
-            if not _KEY_RE.match(name):
-                raise ParseError(f"line {lineno}: bad table name {name!r}")
-            table = root.setdefault(name, {})
-            if not isinstance(table, dict):
-                raise ParseError(f"line {lineno}: {name!r} already used as a key")
-            continue
-        key, eq, rest = line.partition("=")
-        key = key.strip()
-        if not eq or not _KEY_RE.match(key):
-            raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
-        table[key] = _parse_value(rest.strip(), lineno)
-    return root
-
-
-def load_config_file(path: str | Path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """Parse TOML text into nested dicts; keys are not checked here."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ParseError(f"invalid TOML: {exc}") from None
 
 
 @dataclass
@@ -129,13 +53,14 @@ class ExperimentConfig:
     reference_budget: object = None
     seed: int = 0
     out_dir: str = "out"
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be regression or classification, got {self.task!r}")
         if not self.budgets:
             raise ValueError("budget grid must be nonempty")
+        if not self.lambda_grid:
+            raise ValueError("lambda grid must be nonempty")
         if self.task == "regression" and self.epsilon is None:
             raise ValueError("regression experiments require an epsilon")
         if self.epsilon is not None and self.epsilon < 0:
@@ -148,34 +73,70 @@ class ExperimentConfig:
             self.reference_budget = self.budgets[len(self.budgets) // 2]
 
 
+_NUMBER = (int, float)
+_BUDGET = (str, int)  # a label count or "N%" of the training size
+
+# Allowed keys and value types per table (None is the top level); a one-element
+# list means "list of".  The top-level keys that name tables must hold tables.
+_KEYS: dict = {
+    None: dict(task=str, seed=int, budgets=[_BUDGET], lambda_grid=[_NUMBER],
+               accuracy_tolerance=_NUMBER, reference_budget=_BUDGET, epsilon=_NUMBER,
+               out_dir=str),
+    "dataset": dict(path=str, label=str, features=[str], group=str, categorical=[str],
+                    add_bias_column=bool),
+    "split": dict(train=_NUMBER, val=_NUMBER, test=_NUMBER, seed=int, folds=int),
+    "bias": dict(kind=str, halfwidth=_NUMBER, file=str),
+    "targeting": dict(group=(str, int), feature_index=int, value=_NUMBER, negate=bool),
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    # bool subclasses int, but true/false is never a count or a number here
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_keys(doc: dict, table: str | None = None) -> None:
+    """Raise ParseError naming the first unknown, misplaced or mistyped key."""
+    for key, value in doc.items():
+        name = key if table is None else f"{table}.{key}"
+        if table is None and key in _KEYS:
+            if not isinstance(value, dict):
+                raise ParseError(f"{key!r} must be a [{key}] table, got {value!r}")
+            _check_keys(value, key)
+        elif key not in _KEYS[table]:
+            raise ParseError(f"unknown config key {name!r}")
+        elif not _has_type(value, _KEYS[table][key]):
+            raise ParseError(f"config key {name!r} has the wrong type: {value!r}")
+
+
 def _schema_from_dict(d: dict) -> DatasetSchema:
     return DatasetSchema(
         label=d["label"],
         features=tuple(d.get("features", ())),
         group=d.get("group"),
         categorical=tuple(d.get("categorical", ())),
-        add_bias_column=bool(d.get("add_bias_column", False)),
+        add_bias_column=d.get("add_bias_column", False),
     )
 
 
 def _targeting_from_dict(d: dict) -> TargetPredicate:
+    negate = d.get("negate", False)
     if "group" in d:
-        return TargetPredicate(value=d["group"], negate=bool(d.get("negate", False)))
-    if "feature_index" in d:
-        return TargetPredicate(
-            value=d["value"],
-            feature_index=int(d["feature_index"]),
-            negate=bool(d.get("negate", False)),
-        )
+        return TargetPredicate(value=d["group"], negate=negate)
+    if "feature_index" in d and "value" in d:
+        return TargetPredicate(value=d["value"], feature_index=d["feature_index"], negate=negate)
     raise ParseError("[targeting] needs either 'group' or 'feature_index' + 'value'")
 
 
 def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a parsed document plus keyword overrides.
 
-    Overrides with value None are ignored, so CLI flags can be passed through
-    unconditionally.
+    The document's keys and value types are checked first.  Overrides with
+    value None are ignored, so CLI flags can be passed through unconditionally.
     """
+    _check_keys(doc)
     dataset = doc.get("dataset", {})
     split_doc = doc.get("split", {})
     bias_doc = doc.get("bias", {})
@@ -187,8 +148,8 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
             train=float(split_doc.get("train", 0.8)),
             val=float(split_doc.get("val", 0.1)),
             test=float(split_doc.get("test", 0.1)),
-            seed=int(split_doc.get("seed", doc.get("seed", 0))),
-            folds=int(split_doc.get("folds", 1)),
+            seed=split_doc.get("seed", doc.get("seed", 0)),
+            folds=split_doc.get("folds", 1),
         ),
         bias_kind=bias_doc.get("kind", "classification"),
         bias_halfwidth=float(bias_doc.get("halfwidth", 0.0)),
@@ -199,7 +160,7 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
         lambda_grid=tuple(doc.get("lambda_grid", (0.0,))),
         accuracy_tolerance=float(doc.get("accuracy_tolerance", 0.0)),
         reference_budget=doc.get("reference_budget"),
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
         out_dir=doc.get("out_dir", "out"),
     )
     for key, value in overrides.items():
@@ -209,7 +170,14 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path | None, **overrides) -> ExperimentConfig:
-    doc = load_config_file(path) if path is not None else {}
+    """Read and check a TOML config file (none: all defaults), then apply overrides."""
+    doc = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        doc = parse_config_text(text)
     return config_from_dict(doc, **overrides)
 
 

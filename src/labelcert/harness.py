@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,22 +30,16 @@ from .errors import (
 from .exact import Decision, decide_exact, min_flips_from_influence, prediction_range
 from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict
 
-WORKERS_ENV = "LABELCERT_WORKERS"
 
-
-def worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def _map_points(fn, count: int, workers: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    if workers <= 1:
-        return np.fromiter((fn(i) for i in range(count)), dtype=bool, count=count)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.fromiter(pool.map(fn, range(count)), dtype=bool, count=count)
+def load_dataset(config: ExperimentConfig) -> Dataset:
+    """The configured CSV dataset; classification requires {0, 1} labels."""
+    if config.data_path is None or config.schema is None:
+        raise LabelCertError("config must provide [dataset] path and label/features")
+    return load_csv(
+        config.data_path,
+        config.schema,
+        require_binary_labels=config.task == "classification",
+    )
 
 
 @dataclass(frozen=True)
@@ -58,18 +50,19 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _exact_verdicts(influence, train_y, X_test, spec, decision, workers) -> np.ndarray:
-    def one(i: int) -> bool:
-        return decide_exact(X_test[i] @ influence.values, train_y, spec, decision).robust
+def _exact_verdicts(influence, train_y, X_test, spec, decision) -> np.ndarray:
+    verdicts = (
+        decide_exact(X_test[i] @ influence.values, train_y, spec, decision).robust
+        for i in range(len(X_test))
+    )
+    return np.fromiter(verdicts, dtype=bool, count=len(X_test))
 
-    return _map_points(one, len(X_test), workers)
 
-
-def _approx_verdicts(hull, theta, X_test, decision, workers) -> np.ndarray:
-    def one(i: int) -> bool:
-        return decide_approx(hull, theta, X_test[i], decision).certified
-
-    return _map_points(one, len(X_test), workers)
+def _approx_verdicts(hull, theta, X_test, decision) -> np.ndarray:
+    verdicts = (
+        decide_approx(hull, theta, X_test[i], decision).certified for i in range(len(X_test))
+    )
+    return np.fromiter(verdicts, dtype=bool, count=len(X_test))
 
 
 def robustness_rate(
@@ -80,17 +73,15 @@ def robustness_rate(
     epsilon: float | None,
     lam: float,
     method: str,
-    workers: int | None = None,
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
-    workers = worker_count(workers)
     decision = Decision.for_task(task, epsilon)
     theta, influence = fit(train, lam)
     if method == "exact":
-        verdicts = _exact_verdicts(influence, train.y, X_test, spec, decision, workers)
+        verdicts = _exact_verdicts(influence, train.y, X_test, spec, decision)
     elif method == "approx":
         hull = model_hull(influence, train.y, spec)
-        verdicts = _approx_verdicts(hull, theta, X_test, decision, workers)
+        verdicts = _approx_verdicts(hull, theta, X_test, decision)
     else:
         raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
     fraction = float(verdicts.mean()) if verdicts.size else float("nan")
@@ -122,7 +113,6 @@ def lambda_sweep(
     epsilon: float | None,
     lambda_grid,
     tolerance_pct: float,
-    workers: int | None = None,
 ) -> SweepResult:
     """Pick the ridge strength: best certified rate among accuracy-admissible values.
 
@@ -145,7 +135,7 @@ def lambda_sweep(
     admissible = tuple(lam for lam in grid if accuracies[lam] >= floor)
     spec = BiasSpec(delta, reference_budget)
     rates = {
-        lam: robustness_rate(train, val.X, task, spec, epsilon, lam, "exact", workers).fraction
+        lam: robustness_rate(train, val.X, task, spec, epsilon, lam, "exact").fraction
         for lam in admissible
     }
     chosen = None
@@ -215,7 +205,7 @@ def _fold_splits(dataset: Dataset, config: ExperimentConfig):
         yield train_full.subset(perm[n_val:]), val, test
 
 
-def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timings):
+def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
     delta = build_delta(config, train)
     decision = Decision.for_task(config.task, config.epsilon)
     sweep_info = None
@@ -225,7 +215,7 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
         ref = resolve_budget(config.reference_budget, train.n)
         sweep = lambda_sweep(
             train, val, config.task, delta, ref, config.epsilon,
-            config.lambda_grid, config.accuracy_tolerance, workers,
+            config.lambda_grid, config.accuracy_tolerance,
         )
         lam = sweep.chosen_lam
         sweep_info = {
@@ -247,13 +237,13 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, workers, timi
         spec = BiasSpec(delta, resolve_budget(entry, train.n))
         if "exact" in methods:
             start = time.perf_counter()
-            v = _exact_verdicts(influence, train.y, test.X, spec, decision, workers)
+            v = _exact_verdicts(influence, train.y, test.X, spec, decision)
             timings["exact"] = timings.get("exact", 0.0) + time.perf_counter() - start
             verdicts["exact"][label] = v
         if "approx" in methods:
             start = time.perf_counter()
             hull = model_hull(influence, train.y, spec)
-            v = _approx_verdicts(hull, theta, test.X, decision, workers)
+            v = _approx_verdicts(hull, theta, test.X, decision)
             timings["approx"] = timings.get("approx", 0.0) + time.perf_counter() - start
             verdicts["approx"][label] = v
         for m in methods:
@@ -286,18 +276,11 @@ def run_experiment(
 ) -> RobustnessReport:
     """Full pipeline: split, choose the ridge strength, certify the grid, aggregate folds."""
     if dataset is None:
-        if config.data_path is None or config.schema is None:
-            raise LabelCertError("config must provide a dataset path and schema")
-        dataset = load_csv(
-            config.data_path,
-            config.schema,
-            require_binary_labels=config.task == "classification",
-        )
-    workers = worker_count(config.workers)
+        dataset = load_dataset(config)
     timings: dict = {}
     per_fold = []
     for fold_index, (train, val, test) in enumerate(_fold_splits(dataset, config)):
-        result = _run_fold(train, val, test, config, methods, workers, timings)
+        result = _run_fold(train, val, test, config, methods, timings)
         result["fold"] = fold_index
         per_fold.append(result)
 
@@ -412,25 +395,23 @@ def timing_report(
     spec: BiasSpec,
     epsilon: float | None,
     lam: float,
-    workers: int | None = None,
 ) -> dict:
     """Wall-clock comparison of the two certifiers over the same test points.
 
     The shared fit is excluded; the approximate figure includes building the
     coefficient hull.
     """
-    workers = worker_count(workers)
     decision = Decision.for_task(task, epsilon)
     theta, influence = fit(train, lam)
 
     start = time.perf_counter()
-    exact = _exact_verdicts(influence, train.y, X_test, spec, decision, workers)
+    exact = _exact_verdicts(influence, train.y, X_test, spec, decision)
     exact_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     hull = model_hull(influence, train.y, spec)
     hull_seconds = time.perf_counter() - start
-    approx = _approx_verdicts(hull, theta, X_test, decision, workers)
+    approx = _approx_verdicts(hull, theta, X_test, decision)
     approx_seconds = time.perf_counter() - start
 
     return {

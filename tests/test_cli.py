@@ -169,6 +169,7 @@ class TestAttack:
         assert summary["changed_count"] == 4
 
 
+
 class TestReport:
     def test_rerender(self, workspace, tmp_path):
         _, config, out = workspace
@@ -185,3 +186,24 @@ class TestErrors:
         config = tmp_path / "config.txt"
         config.write_text('task = "classification"\n', encoding="utf-8")
         assert main(["certify", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["min-flips", "attack"])
+    @pytest.mark.parametrize("index", ["-1", "20"])  # the workspace has 20 test rows
+    def test_index_out_of_range(self, workspace, command, index, capsys):
+        tmp_path, config, out = workspace
+        before = set(out.iterdir())
+        code = main([command, "--config", str(config), "--index", index, "--out-dir", str(out)])
+        assert code == 2
+        assert "--index" in capsys.readouterr().err
+        assert set(out.iterdir()) == before  # no file written
+
+    def test_missing_config_file_returns_error_code(self, tmp_path):
+        missing = tmp_path / "missing.toml"
+        assert main(["certify", "--config", str(missing), "--out-dir", str(tmp_path)]) == 2
+
+    def test_misspelt_key_returns_error_code(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        config.write_text("lamda_grid = [0.1]\n" + config.read_text(), encoding="utf-8")
+        assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "lamda_grid" in capsys.readouterr().err
+        assert not (out / "report.json").exists()

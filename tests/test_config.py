@@ -1,5 +1,8 @@
 """Tests for the config file grammar and experiment config assembly."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,7 +65,16 @@ class TestParser:
         assert doc["name"] == "a#b"
 
     def test_bad_lines_rejected(self):
-        for text in ("just words\n", "[unclosed\n", 'x = "open\n', "x = [1, 2\n"):
+        old_grammar = ("just words\n", "[unclosed\n", 'x = "open\n', "x = [1, 2\n")
+        # accepted by the earlier hand-written parser, invalid TOML
+        toml_only = (
+            "x = .5\n",
+            "x = 1.\n",
+            "x = 1\nx = 2\n",  # duplicate key
+            "[a]\nx = 1\n[b]\n[a]\ny = 2\n",  # re-opened table
+            'path = "C:\\data"\n',  # unknown escape sequence
+        )
+        for text in old_grammar + toml_only:
             with pytest.raises(ParseError):
                 parse_config_text(text)
 
@@ -106,11 +118,57 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(budgets=())
 
+    def test_empty_lambda_grid_rejected(self):
+        with pytest.raises(ValueError, match="lambda grid"):
+            ExperimentConfig(lambda_grid=())
+
+    def test_readme_config_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```toml\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        config = config_from_dict(parse_config_text(blocks[0]))
+        assert config.schema.categorical == ("group",)
+        assert config.targeting.value == "Black"
+        assert config.epsilon == 2000.0
+
     def test_file_loading(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text(SAMPLE, encoding="utf-8")
         config = load_experiment_config(path)
         assert config.schema.features == ("age", "hours")
+
+
+class TestKeyChecks:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("lamda_grid = [0.1]\n", "lamda_grid"),  # misspelt key
+            ("[split]\nfold = 5\n", "split.fold"),  # misspelt key in a table
+            ("budgets = 5\n", "budgets"),  # scalar where a list belongs
+            ('dataset = "x"\n', "dataset"),  # not a table
+            ("seed = true\n", "seed"),  # a bool is not an int
+            ('lambda_grid = [0.1, "1"]\n', "lambda_grid"),  # wrong list element
+            ("[split]\nfolds = 2.0\n", "split.folds"),
+            ('[dataset]\nadd_bias_column = "false"\n', "dataset.add_bias_column"),
+            ("[dataset.extra]\npath = 1\n", "dataset.extra"),  # nested table
+            ("[outputs]\ndir = 1\n", "outputs"),  # unknown table
+        ],
+    )
+    def test_rejected_with_key_named(self, text, key):
+        doc = parse_config_text(text)
+        with pytest.raises(ParseError, match=re.escape(repr(key))):
+            config_from_dict(doc)
+
+    def test_integers_accepted_as_numbers(self):
+        config = config_from_dict(parse_config_text("epsilon = 2\nlambda_grid = [0, 1]\n"))
+        assert config.epsilon == 2.0 and isinstance(config.epsilon, float)
+        assert config.lambda_grid == (0.0, 1.0)
+
+    def test_file_errors_name_key(self, tmp_path):
+        path = tmp_path / "config.toml"
+        path.write_text(SAMPLE.replace("lambda_grid", "lamda_grid"), encoding="utf-8")
+        with pytest.raises(ParseError, match="lamda_grid"):
+            load_experiment_config(path)
 
 
 class TestResolveBudget:

@@ -74,22 +74,6 @@ class TestRobustnessRate:
         rate = robustness_rate(train, rng.normal(size=(10, 2)), "regression", spec, 100.0, 0.1, "exact")
         assert rate.fraction == 1.0
 
-    def test_workers_do_not_change_verdicts(self):
-        train, _, test = _train_test(seed=3)
-        spec = BiasSpec(classification_delta(train.y), 5)
-        serial = robustness_rate(train, test.X, "classification", spec, None, 0.1, "exact", workers=1)
-        threaded = robustness_rate(train, test.X, "classification", spec, None, 0.1, "exact", workers=4)
-        np.testing.assert_array_equal(serial.verdicts, threaded.verdicts)
-
-    def test_worker_count_env_var(self, monkeypatch):
-        from labelcert.harness import WORKERS_ENV, worker_count
-
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv(WORKERS_ENV, "6")
-        assert worker_count() == 6
-        assert worker_count(2) == 2  # explicit argument wins
-
 
 class TestLambdaSweep:
     def test_zero_tolerance_picks_argmax_accuracy(self):
