@@ -1,11 +1,13 @@
 """Over-approximate certification via a coefficient hull.
 
 Instead of re-solving the worst case per test point, bound each fitted
-coefficient over the whole reachable label set once.  The resulting interval
+coefficient over the whole reachable label set once: one call of the exact
+range kernel on the rows of the influence matrix.  The resulting interval
 box (the model hull) is the tightest axis-aligned enclosure of the reachable
 coefficient set; certifying a test point then costs one interval dot
-product.  The check is one-sided: a certificate implies exact robustness,
-but failure to certify proves nothing.
+product, and a block of points one elementwise pass.  The check is
+one-sided: a certificate implies exact robustness, but failure to certify
+proves nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bias import BiasSpec, Interval
 from .errors import DimensionMismatch
-from .exact import Decision, prediction_range
+from .exact import Decision, ranges
 from .linalg import InfluenceMatrix, ModelCoefficients, predict
 
 
@@ -49,12 +51,6 @@ class ModelHull:
     def m(self) -> int:
         return self.lower.size
 
-    def interval(self, i: int) -> Interval:
-        return Interval(self.lower[i], self.upper[i])
-
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(Interval(l, h) for l, h in zip(self.lower, self.upper))
-
 
 @dataclass(frozen=True)
 class ApproxVerdict:
@@ -63,17 +59,13 @@ class ApproxVerdict:
     certified: bool
     predicted_interval: Interval
 
-    @property
-    def outcome(self) -> str:
-        return "certified" if self.certified else "unknown"
-
 
 def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> ModelHull:
     """Tightest interval box containing every coefficient vector reachable under the spec.
 
-    Each coordinate bound reuses the exact per-functional optimizer on the
-    corresponding row of the influence matrix, so both ends of every
-    coordinate interval are attained by concrete reachable label vectors.
+    One call of the exact range kernel over the rows of the influence matrix
+    C gives every coordinate interval and the base coefficients C @ y.  Both
+    ends of coordinate i are attained: see `prediction_range(C[i], y, spec)`.
     """
     y = np.asarray(y, dtype=float)
     if influence.n != y.size or y.size != spec.n:
@@ -81,28 +73,26 @@ def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> Mod
             f"influence matrix is {influence.m}x{influence.n}, labels {y.size}, "
             f"spec length {spec.n}"
         )
-    lower = np.empty(influence.m)
-    upper = np.empty(influence.m)
-    for i in range(influence.m):
-        rng = prediction_range(influence.values[i], y, spec)
-        lower[i], upper[i] = rng.interval.lo, rng.interval.hi
-    base = ModelCoefficients(influence.values @ y, influence.lam)
-    return ModelHull(lower, upper, base, spec.budget, spec.fingerprint())
+    base, lower, upper = ranges(influence.values, y, spec)
+    return ModelHull(
+        lower, upper, ModelCoefficients(base, influence.lam), spec.budget, spec.fingerprint()
+    )
 
 
-def interval_predict(hull: ModelHull, x: np.ndarray) -> Interval:
-    """Interval dot product of the hull with a concrete test point.
+def interval_predict(hull: ModelHull, x: np.ndarray):
+    """Interval dot product of the hull with a test point (m,) or a block of them (k, m).
 
     Each coordinate contributes [lo*x, hi*x] with the bounds swapped when the
-    coordinate of x is negative; contributions add by endpoint sums.
+    coordinate of x is negative; contributions add by endpoint sums, row by
+    row.  Returns an Interval for one point and (lo, hi) arrays for a block.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (hull.m,):
-        raise DimensionMismatch(f"test point has shape {x.shape}, expected ({hull.m},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != hull.m:
+        raise DimensionMismatch(f"test points have shape {x.shape}, expected (..., {hull.m})")
     nonneg = x >= 0
-    lo = float(np.where(nonneg, hull.lower * x, hull.upper * x).sum())
-    hi = float(np.where(nonneg, hull.upper * x, hull.lower * x).sum())
-    return Interval(lo, hi)
+    lo = np.where(nonneg, hull.lower * x, hull.upper * x).sum(axis=-1)
+    hi = np.where(nonneg, hull.upper * x, hull.lower * x).sum(axis=-1)
+    return Interval(lo, hi) if x.ndim == 1 else (lo, hi)
 
 
 def decide_approx(

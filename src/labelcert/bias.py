@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class PerturbationVector:
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[Interval]) -> "PerturbationVector":
-        pairs = [(iv.lo, iv.hi) for iv in intervals]
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
     def __len__(self) -> int:
         return self.lo.size

@@ -156,8 +156,15 @@ def cmd_attack(args) -> int:
 
 
 def cmd_report(args) -> int:
+    try:
+        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LabelCertError(f"cannot read report {args.report}: {exc}") from exc
+    keys = payload if isinstance(payload, dict) else {}
+    missing = [k for k in ("summary", "budgets", "per_fold") if k not in keys]
+    if missing:
+        raise LabelCertError(f"report {args.report} lacks {', '.join(missing)}")
     config = _load_config(args)
-    payload = json.loads(Path(args.report).read_text())
     for path in render_csv_tables(payload, config.out_dir):
         print(path)
     return 0

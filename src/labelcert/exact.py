@@ -3,15 +3,18 @@
 For a fixed test point the prediction is a linear functional z . y of the
 training labels, so the reachable prediction set under a label perturbation
 budget is a closed interval whose endpoints are attained by moving the
-budgeted number of highest-impact labels to interval endpoints.  This module
-computes that interval, the witness label vectors attaining it, robustness
-verdicts against a `Decision` (a prediction band or the 0.5 threshold), and
-the smallest budget that breaks robustness.
+budgeted number of highest-impact labels to interval endpoints.  `ranges`
+computes that interval for a whole block of functionals at once: one
+in-place partition (introselect) per row selects the top-budget impacts, so
+no row is sorted.  Every verdict takes its interval from it.  This module
+also builds the witness label vectors attaining each end (for one
+functional at a time), robustness verdicts against a `Decision` (a
+prediction band or the 0.5 threshold), and the smallest budget that breaks
+robustness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,28 +61,31 @@ class Decision:
         """Class of a prediction (or array of them) under the threshold rule."""
         return prediction >= DECISION_THRESHOLD
 
-    def limits(self, base: float) -> tuple[float, float]:
-        """Closed range of predictions that keep the decision made at `base`."""
+    def limits(self, base):
+        """Closed range of predictions that keep the decision made at `base` (elementwise)."""
         if self.epsilon is not None:
             return base - self.epsilon, base + self.epsilon
-        if self.label(base):
-            return DECISION_THRESHOLD, math.inf
-        return -math.inf, _BELOW_THRESHOLD
+        one = self.label(base)
+        return np.where(one, DECISION_THRESHOLD, -np.inf), np.where(one, np.inf, _BELOW_THRESHOLD)
+
+    def keeps(self, base, lo, hi):
+        """Elementwise: does the prediction range [lo, hi] stay within the limits at `base`?"""
+        low, high = self.limits(base)
+        return (low <= lo) & (hi <= high)
 
     def breach(self, base: float, lo: float, hi: float) -> tuple[bool, str]:
         """Whether the prediction range [lo, hi] escapes the limits, and from which end.
 
-        The end is the one reaching further past its limit ("upper" on ties);
-        under the threshold rule only the end toward the other class can.
+        Escaping is the negation of `keeps`.  The end is the one reaching
+        further past its limit ("upper" on ties); under the threshold rule
+        only the end toward the other class can.
         """
         low, high = self.limits(base)
-        over, under = hi - high, low - lo
-        return max(over, under) > 0, "upper" if over >= under else "lower"
+        return not self.keeps(base, lo, hi), "upper" if hi - high >= low - lo else "lower"
 
     def escapes(self, base: float, predictions: np.ndarray) -> np.ndarray:
         """Elementwise: does each prediction leave the limits?"""
-        low, high = self.limits(base)
-        return (predictions < low) | (predictions > high)
+        return np.logical_not(self.keeps(base, predictions, predictions))
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,62 @@ def potential_impacts(z: np.ndarray, delta: PerturbationVector) -> PotentialImpa
     return PotentialImpacts(positive, negative)
 
 
+# Float64 elements per work buffer of `ranges` (1 MiB); a block holds
+# max(1, ELEMS // n) functionals over n labels.
+ELEMS = 1 << 17
+
+
+def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = None):
+    """Reachable prediction intervals of many linear functionals at once.
+
+    The functionals are the rows of Z, or of X @ Z (formed one block of rows
+    at a time) when X is given.  Returns arrays (base, lo, hi): each row's
+    value at y, plus the sum of its `budget` largest decreases or increases.
+    An in-place partition (introselect) per row selects them; the work
+    buffers are allocated once per call.
+    """
+    Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
+    n, budget = spec.n, spec.budget
+    points = Z.shape[:1] if X is None else np.shape(X)[1:]
+    if Z.ndim != 2 or Z.shape[1] != n or y.shape != (n,) or points != Z.shape[:1]:
+        raise DimensionMismatch(f"functionals {Z.shape}, labels {y.shape}, spec length {n}")
+    k = len(Z if X is None else X)
+    base = Z @ y if X is None else np.empty(k)
+    lo, hi = np.empty(k), np.empty(k)
+    # With symmetric intervals a label's largest decrease is minus its
+    # largest increase, so one selection serves both ends.
+    symmetric = np.array_equal(spec.delta.lo, -spec.delta.hi)
+    rows = max(1, min(k, ELEMS // n))
+    increase, decrease, work = (np.empty((rows, n)) for _ in range(3))
+    for start in range(0, k, rows):
+        part, r = slice(start, start + rows), min(rows, k - start)
+        if X is None:
+            block = Z[part]
+        else:  # the product lives in `work` until its last use below
+            block = np.matmul(X[part], Z, out=work[:r])
+            np.matmul(block, y, out=base[part])
+        if not budget:
+            continue
+        up, down = increase[:r], decrease[:r]
+        if symmetric:
+            np.multiply(np.abs(block, out=up), spec.delta.hi, out=up)
+        else:
+            np.multiply(block, spec.delta.hi, out=up)
+            other = np.multiply(block, spec.delta.lo, out=work[:r])
+            np.minimum(up, other, out=down)
+            np.maximum(up, other, out=up)
+            down.partition(budget - 1, axis=1)
+            np.add(base[part], down[:, :budget].sum(axis=1), out=lo[part])
+        up.partition(n - budget, axis=1)
+        top = up[:, n - budget :].sum(axis=1)
+        np.add(base[part], top, out=hi[part])
+        if symmetric:
+            np.subtract(base[part], top, out=lo[part])
+    if not budget:
+        lo[:], hi[:] = base, base
+    return base, lo, hi
+
+
 def _top_indices(impacts: np.ndarray, budget: int, maximize: bool) -> np.ndarray:
     """Indices of the `budget` largest gains (or most negative drops).
 
@@ -173,30 +235,32 @@ def _perturbed(
     return out
 
 
-def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> PredictionRange:
-    """Tight reachable prediction interval for the linear functional z . y.
-
-    The upper end moves the budgeted number of labels with the largest
-    positive impact to their extreme endpoints; the lower end mirrors with
-    the largest negative impacts.  Both witnesses are returned and are valid
-    members of the reachable label set.
-    """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if z.shape != y.shape or y.shape != (spec.n,):
-        raise DimensionMismatch(
-            f"shapes z{z.shape}, y{y.shape} inconsistent with spec length {spec.n}"
-        )
+def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, PredictionRange]:
+    """Base value and witnessed reachable interval of one functional."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    if z.shape != y.shape:
+        raise DimensionMismatch(f"shapes z{z.shape}, y{y.shape} differ")
+    base, lo, hi = ranges(z[None, :], y, spec)
     impacts = potential_impacts(z, spec.delta)
     up_idx = _top_indices(impacts.positive, spec.budget, maximize=True)
     dn_idx = _top_indices(impacts.negative, spec.budget, maximize=False)
-    y_upper = _perturbed(y, z, spec.delta, up_idx, upward=True)
-    y_lower = _perturbed(y, z, spec.delta, dn_idx, upward=False)
-    return PredictionRange(
-        interval=Interval(float(z @ y_lower), float(z @ y_upper)),
-        lower_witness=y_lower,
-        upper_witness=y_upper,
+    return float(base[0]), PredictionRange(
+        interval=Interval(lo[0], hi[0]),
+        lower_witness=_perturbed(y, z, spec.delta, dn_idx, upward=False),
+        upper_witness=_perturbed(y, z, spec.delta, up_idx, upward=True),
     )
+
+
+def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> PredictionRange:
+    """Tight reachable prediction interval for the linear functional z . y.
+
+    The interval is the one `ranges` gives this row.  The upper witness
+    moves the budgeted number of labels with the largest positive impact to
+    their extreme endpoints (ties toward the lowest index); the lower one
+    mirrors with the largest negative impacts.  Both are valid members of
+    the reachable label set.
+    """
+    return _range(z, y, spec)[1]
 
 
 def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decision) -> CertResult:
@@ -205,10 +269,7 @@ def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decisio
     Robust iff the whole reachable prediction interval keeps the decision;
     otherwise the witness of the escaping end is the counterexample.
     """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = float(z @ y)
-    rng = prediction_range(z, y, spec)
+    base, rng = _range(z, y, spec)
     escaped, side = decision.breach(base, rng.interval.lo, rng.interval.hi)
     counterexample = rng.witness(side) if escaped else None
     return CertResult(not escaped, rng, decision, base, counterexample)

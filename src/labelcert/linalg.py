@@ -176,11 +176,12 @@ def influence_vector(x: np.ndarray, influence: InfluenceMatrix) -> np.ndarray:
     return _frozen(x @ influence.values)
 
 
-def predict(coefficients: ModelCoefficients, x: np.ndarray) -> float:
-    """Evaluate the linear model at x."""
+def predict(coefficients: ModelCoefficients, x: np.ndarray):
+    """The linear model at a point x (m,), or at each row of a block (k, m), summed row by row."""
     x = np.asarray(x, dtype=float)
-    if x.shape != coefficients.values.shape:
+    if x.ndim not in (1, 2) or x.shape[-1:] != coefficients.values.shape:
         raise DimensionMismatch(
-            f"test point has shape {x.shape}, expected {coefficients.values.shape}"
+            f"test points have shape {x.shape}, expected (..., {coefficients.values.size})"
         )
-    return float(coefficients.values @ x)
+    values = (x * coefficients.values).sum(axis=-1)
+    return float(values) if x.ndim == 1 else values

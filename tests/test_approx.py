@@ -101,8 +101,21 @@ class TestIntervalPredict:
         assert interval_predict(_hull3(), np.array([1.0, 1.0, -1.0])) == Interval(-6.0, 12.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            interval_predict(_hull3(), np.ones(4))
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
+            with pytest.raises(DimensionMismatch):
+                interval_predict(_hull3(), bad)
+
+    def test_block_rows_equal_single_points(self, rng):
+        C = rng.normal(size=(3, 9))
+        hull = model_hull(InfluenceMatrix(C, 0.0), rng.normal(size=9),
+                          BiasSpec(random_delta(rng, 9), 2))
+        X = rng.normal(size=(5, 3))
+        lo, hi = interval_predict(hull, X)
+        assert lo.shape == hi.shape == (5,)
+        for i, x in enumerate(X):
+            assert interval_predict(hull, x) == Interval(lo[i], hi[i])
+        lo, hi = interval_predict(hull, np.empty((0, 3)))
+        assert lo.shape == hi.shape == (0,)
 
     def test_dominates_exact_range(self, rng):
         for _ in range(30):

@@ -182,6 +182,26 @@ class TestReport:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("content", [
+        None,  # no such file
+        "{not json",
+        "[1, 2]",
+        "5",
+        '{"budgets": ["1"], "per_fold": []}',
+        '{"summary": {}, "per_fold": []}',
+        '{"summary": {}, "budgets": ["1"]}',
+    ])
+    def test_unreadable_report(self, tmp_path, content, capsys):
+        report = tmp_path / "report.json"
+        if content is not None:
+            report.write_text(content, encoding="utf-8")
+        out = tmp_path / "tables"
+        code = main(["report", "--report", str(report), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(report) in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_missing_dataset_returns_error_code(self, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text('task = "classification"\n', encoding="utf-8")

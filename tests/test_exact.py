@@ -15,6 +15,7 @@ from labelcert import (
 )
 from labelcert.bias import PerturbationVector, contains, scale_delta
 from labelcert.errors import DimensionMismatch, NonBinaryLabel
+from labelcert import exact
 from labelcert.exact import (
     Decision,
     certify_from_influence,
@@ -22,8 +23,9 @@ from labelcert.exact import (
     min_flips_from_influence,
     potential_impacts,
     prediction_range,
+    ranges,
 )
-from conftest import dyadic_instances, random_dataset, random_instance
+from conftest import dyadic_instances, random_dataset, random_delta, random_instance
 from oracle import brute_force_classification, brute_force_range
 
 # The two-label worked example used throughout: z = (-1, 2), y = (3, 4),
@@ -39,6 +41,12 @@ class TestDecision:
         assert band.limits(5.0) == (3.0, 7.0)
         assert band.breach(5.0, 3.0, 7.0) == (False, "upper")
         assert band.breach(5.0, 2.5, 7.0) == (True, "lower")
+        # hi == base + epsilon and lo == base - epsilon exactly still keep
+        np.testing.assert_array_equal(
+            band.keeps(np.array([5.0, 5.0, 5.0, 5.0]), np.array([3.0, 2.5, 4.0, 3.0]),
+                       np.array([7.0, 7.0, 7.125, 5.0])),
+            [True, False, False, True],
+        )
         np.testing.assert_array_equal(band.escapes(5.0, np.array([2.5, 3.0, 7.0, 7.5])),
                                       [True, False, False, True])
 
@@ -63,6 +71,41 @@ class TestDecision:
         assert threshold.breach(0.5, 0.5, 0.9) == (False, "lower")
         assert threshold.breach(0.7, 0.4, 0.9) == (True, "lower")
         assert threshold.breach(0.3, 0.1, 0.5) == (True, "upper")
+        # lo == 0.5 keeps class 1 (base 0.75 or base 0.5); reaching 0.5 breaks class 0
+        np.testing.assert_array_equal(
+            threshold.keeps(np.array([0.75, 0.5, 0.5, 0.25, 0.25]),
+                            np.array([0.5, 0.5, 0.375, 0.125, 0.125]),
+                            np.array([0.875, 0.5, 0.625, 0.375, 0.5])),
+            [True, True, False, True, False],
+        )
+
+    # Dyadic (decision, base, lo, hi) cases on and around every boundary:
+    # hi == base + epsilon, lo == 0.5, base == 0.5.
+    BOUNDARY_CASES = [
+        (Decision.band(0.25), 1.0, 0.75, 1.25),
+        (Decision.band(0.25), 1.0, 1.0, 1.25),
+        (Decision.band(0.25), 1.0, 0.875, 1.375),
+        (Decision.band(0.25), 1.0, 0.625, 1.125),
+        (Decision.band(0.0), 0.5, 0.5, 0.5),
+        (Decision.band(0.0), 0.5, 0.5, 0.625),
+        (Decision.threshold(), 0.75, 0.5, 1.0),
+        (Decision.threshold(), 0.75, 0.375, 1.0),
+        (Decision.threshold(), 0.5, 0.5, 0.5),
+        (Decision.threshold(), 0.5, 0.5, 2.0),
+        (Decision.threshold(), 0.5, 0.25, 0.5),
+        (Decision.threshold(), 0.25, 0.0, 0.5),
+        (Decision.threshold(), 0.25, 0.0, 0.375),
+    ]
+
+    @pytest.mark.parametrize("decision", [Decision.band(0.25), Decision.band(0.0),
+                                          Decision.threshold()])
+    def test_block_rule_agrees_with_breach(self, decision):
+        cases = [c[1:] for c in self.BOUNDARY_CASES if c[0] == decision]
+        base, lo, hi = (np.array(column) for column in zip(*cases))
+        block = decision.keeps(base, lo, hi)
+        single = [not decision.breach(*case)[0] for case in cases]
+        np.testing.assert_array_equal(block, single)
+        assert block.any() and not block.all()
 
     def test_band_radius_validated(self):
         for bad in (-0.1, None, float("nan")):
@@ -173,6 +216,110 @@ class TestPredictionRange:
         fast = prediction_range(z, y, spec).interval
         slow = brute_force_range(z, y, spec)
         assert (fast.lo, fast.hi) == (slow.lo, slow.hi)
+
+
+def _full_sort_range(z, y, spec):
+    """Reference interval by full sorts of the per-label impacts."""
+    up = np.sort(np.maximum(z * spec.delta.hi, z * spec.delta.lo))[::-1][: spec.budget]
+    down = np.sort(np.minimum(z * spec.delta.hi, z * spec.delta.lo))[: spec.budget]
+    base = z @ y
+    return base + down.sum(), base + up.sum()
+
+
+class TestRanges:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rows_match_single_ranges_and_oracle(self, rng, symmetric):
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            budget = int(rng.integers(0, min(n, 3) + 1))
+            _, y, spec = random_instance(rng, n, budget)
+            if symmetric:  # one selection serves both ends
+                spec = BiasSpec(uniform_delta(n, rng.uniform(0.0, 2.0)), budget)
+            Z = rng.normal(0.0, 2.0, (5, n))
+            base, lo, hi = ranges(Z, y, spec)
+            np.testing.assert_allclose(base, Z @ y, rtol=1e-12, atol=1e-12)
+            for i, z in enumerate(Z):
+                single = prediction_range(z, y, spec).interval
+                np.testing.assert_allclose([lo[i], hi[i]], [single.lo, single.hi],
+                                           rtol=1e-12, atol=1e-12)
+                slow = brute_force_range(z, y, spec)
+                np.testing.assert_allclose([lo[i], hi[i]], [slow.lo, slow.hi],
+                                           rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_budget_zero_and_full(self, rng, symmetric):
+        n = 40
+        _, y, _ = random_instance(rng, n, 0)
+        Z = rng.normal(size=(6, n))
+        delta = uniform_delta(n, 0.75) if symmetric else random_delta(rng, n)
+        for budget in (0, 1, 7, n):
+            spec = BiasSpec(delta, budget)
+            base, lo, hi = ranges(Z, y, spec)
+            for i, z in enumerate(Z):
+                np.testing.assert_allclose([lo[i], hi[i]], _full_sort_range(z, y, spec),
+                                           rtol=1e-12)
+            if budget == 0:
+                np.testing.assert_array_equal(lo, base)
+                np.testing.assert_array_equal(hi, base)
+
+    def test_ties_zero_width_intervals_and_zero_rows_exact(self):
+        # dyadic values keep every sum exact, so equality is exact
+        y = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -1.5])
+        lo = np.array([-1.0, -1.0, 0.0, -0.5, 0.0, -2.0])
+        hi = np.array([1.0, 1.0, 0.0, 0.5, 0.0, 0.25])
+        spec = BiasSpec(PerturbationVector(lo, hi), 2)
+        Z = np.array([
+            [1.0, 1.0, 1.0, -1.0, -1.0, 0.0],  # ties among the top impacts
+            [2.0, -2.0, 8.0, 0.0, 4.0, 0.0],  # big influence only on frozen labels
+            np.zeros(6),  # no influence at all
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.5],  # influence only on a lopsided interval
+        ])
+        base, lo_out, hi_out = ranges(Z, y, spec)
+        for i, z in enumerate(Z):
+            slow = brute_force_range(z, y, spec)
+            assert (base[i], lo_out[i], hi_out[i]) == (z @ y, slow.lo, slow.hi)
+        assert lo_out[2] == hi_out[2] == base[2] == 0.0
+
+    def test_targeted_zero_width_everywhere(self, rng):
+        n = 12
+        spec = BiasSpec(uniform_delta(n, 0.0), 5)
+        Z = rng.normal(size=(4, n))
+        y = rng.normal(size=n)
+        base, lo, hi = ranges(Z, y, spec)
+        np.testing.assert_array_equal(lo, base)
+        np.testing.assert_array_equal(hi, base)
+
+    def test_blocks_do_not_change_rows(self, rng, monkeypatch):
+        n, k = 30, 11
+        _, y, spec = random_instance(rng, n, 4)
+        X = rng.normal(size=(k, 3))
+        C = rng.normal(size=(3, n))
+        whole = ranges(X @ C, y, spec)
+        factored = ranges(C, y, spec, X)
+        monkeypatch.setattr(exact, "ELEMS", 4 * n)  # blocks of 4, 4 and 3 rows
+        blocked = ranges(X @ C, y, spec)
+        blocked_factored = ranges(C, y, spec, X)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+        for a, b, c in zip(whole, factored, blocked_factored):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(c, a, rtol=1e-12, atol=1e-12)
+
+    def test_no_rows(self, rng):
+        _, y, spec = random_instance(rng, 5, 2)
+        for out in ranges(np.empty((0, 5)), y, spec):
+            assert out.shape == (0,)
+        for out in ranges(np.ones((2, 5)), y, spec, np.empty((0, 2))):
+            assert out.shape == (0,)
+
+    def test_dimension_mismatch(self, rng):
+        _, y, spec = random_instance(rng, 5, 2)
+        with pytest.raises(DimensionMismatch):
+            ranges(np.ones((2, 4)), y, spec)
+        with pytest.raises(DimensionMismatch):
+            ranges(np.ones(5), y, spec)
+        with pytest.raises(DimensionMismatch):
+            ranges(np.ones((2, 5)), y, spec, np.ones((3, 3)))
 
 
 class TestCertifyRegression:

@@ -18,10 +18,13 @@ from labelcert import (
     timing_report,
     uniform_delta,
 )
+from labelcert import exact, harness
+from labelcert.approx import decide_approx, model_hull
 from labelcert.bias import contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
+from labelcert.exact import Decision, decide_exact
 from labelcert.harness import (
     export_attack,
     lambda_sweep,
@@ -73,6 +76,35 @@ class TestRobustnessRate:
         spec = BiasSpec(uniform_delta(40, 0.5), 3)
         rate = robustness_rate(train, rng.normal(size=(10, 2)), "regression", spec, 100.0, 0.1, "exact")
         assert rate.fraction == 1.0
+
+
+class TestBlockVerdicts:
+    """Block verdicts equal the single-row verdicts, whatever the block boundaries."""
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_match_single_row_verdicts(self, k, task, monkeypatch):
+        ds = with_bias_column(synth_classification(80, 3, seed=4))
+        X_test = with_bias_column(synth_classification(8, 3, seed=5)).X[:k]
+        if task == "classification":
+            decision, spec = Decision.threshold(), BiasSpec(classification_delta(ds.y), 2)
+        else:
+            decision, spec = Decision.band(0.0625), BiasSpec(uniform_delta(ds.n, 0.5), 2)
+        theta, influence = fit(ds, 0.1)
+        hull = model_hull(influence, ds.y, spec)
+        # three-row blocks: 7 rows make blocks of 3, 3 and 1
+        monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
+        monkeypatch.setattr(harness, "ELEMS", 3 * ds.m)
+        exact_block = harness._exact_verdicts(influence, ds.y, X_test, spec, decision)
+        approx_block = harness._approx_verdicts(hull, theta, X_test, decision)
+        exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
+                        for x in X_test]
+        approx_single = [decide_approx(hull, theta, x, decision).certified for x in X_test]
+        assert exact_block.dtype == approx_block.dtype == bool
+        np.testing.assert_array_equal(exact_block, np.array(exact_single, dtype=bool))
+        np.testing.assert_array_equal(approx_block, np.array(approx_single, dtype=bool))
+        if k == 7:  # neither all robust nor all broken
+            assert exact_block.any() and not exact_block.all()
 
 
 class TestLambdaSweep:

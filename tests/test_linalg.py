@@ -137,8 +137,17 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         theta = ModelCoefficients(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(DimensionMismatch):
-            predict(theta, np.array([1.0]))
+        for bad in (np.array([1.0]), np.ones((3, 1)), np.ones((2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                predict(theta, bad)
+
+    def test_block_rows_equal_single_points(self, rng):
+        theta = ModelCoefficients(rng.normal(size=5), 0.0)
+        X = rng.normal(size=(6, 5))
+        block = predict(theta, X)
+        assert block.shape == (6,)
+        assert block.tolist() == [predict(theta, x) for x in X]
+        assert predict(theta, np.empty((0, 5))).shape == (0,)
 
 
 class TestDataset:
