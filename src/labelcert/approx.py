@@ -5,9 +5,9 @@ coefficient over the whole reachable label set once: one call of the exact
 range kernel on the rows of the influence matrix.  The resulting interval
 box (the model hull) is the tightest axis-aligned enclosure of the reachable
 coefficient set; certifying a test point then costs one interval dot
-product, and a block of points one elementwise pass.  The check is
-one-sided: a certificate implies exact robustness, but failure to certify
-proves nothing.
+product, and a block of points (`decide_approx_rows`) one elementwise
+pass.  The check is one-sided: a certificate implies exact robustness, but
+failure to certify proves nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bias import BiasSpec, Interval
 from .errors import DimensionMismatch
-from .exact import Decision, ranges
+from .exact import Decision, block_rows, ranges
 from .linalg import InfluenceMatrix, ModelCoefficients, predict
 
 
@@ -65,7 +65,8 @@ def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> Mod
 
     One call of the exact range kernel over the rows of the influence matrix
     C gives every coordinate interval and the base coefficients C @ y.  Both
-    ends of coordinate i are attained: see `prediction_range(C[i], y, spec)`.
+    ends of coordinate i are attained up to rounding: see
+    `prediction_range(C[i], y, spec)`.
     """
     y = np.asarray(y, dtype=float)
     if influence.n != y.size or y.size != spec.n:
@@ -95,6 +96,13 @@ def interval_predict(hull: ModelHull, x: np.ndarray):
     return Interval(lo, hi) if x.ndim == 1 else (lo, hi)
 
 
+def _same_fit(hull: ModelHull, coefficients: ModelCoefficients) -> None:
+    if hull.base.lam != coefficients.lam:
+        raise ValueError(
+            f"hull built at lam={hull.base.lam} but coefficients at lam={coefficients.lam}"
+        )
+
+
 def decide_approx(
     hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray, decision: Decision
 ) -> ApproxVerdict:
@@ -103,13 +111,31 @@ def decide_approx(
     The hull and coefficients must come from the same dataset and ridge
     strength.
     """
-    if hull.base.lam != coefficients.lam:
-        raise ValueError(
-            f"hull built at lam={hull.base.lam} but coefficients at lam={coefficients.lam}"
-        )
+    _same_fit(hull, coefficients)
     predicted = interval_predict(hull, x)
     escaped, _ = decision.breach(predict(coefficients, x), predicted.lo, predicted.hi)
     return ApproxVerdict(not escaped, predicted)
+
+
+def decide_approx_rows(
+    hull: ModelHull, coefficients: ModelCoefficients, X: np.ndarray, decision: Decision
+) -> np.ndarray:
+    """Block form of `decide_approx`: whether each row of X (k, m) is certified.
+
+    Rows are certified a block at a time, each with the arithmetic
+    `decide_approx` uses for it alone.
+    """
+    _same_fit(hull, coefficients)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"test points have shape {X.shape}, expected (k, {hull.m})")
+    certified = np.empty(len(X), dtype=bool)
+    rows = block_rows(hull.m, len(X))
+    for start in range(0, len(X), rows):
+        block = X[start : start + rows]
+        lo, hi = interval_predict(hull, block)
+        certified[start : start + rows] = decision.keeps(predict(coefficients, block), lo, hi)
+    return certified
 
 
 def certify_approx(

@@ -7,8 +7,8 @@ budgeted number of highest-impact labels to interval endpoints.  `ranges`
 computes that interval for a whole block of functionals at once: one
 in-place partition (introselect) per row selects the top-budget impacts, so
 no row is sorted.  Every verdict takes its interval from it.  This module
-also builds the witness label vectors attaining each end (for one
-functional at a time), robustness verdicts against a `Decision` (a
+also builds the witness label vectors attaining each end up to rounding
+(for one functional at a time), robustness verdicts against a `Decision` (a
 prediction band or the 0.5 threshold), and the smallest budget that breaks
 robustness.
 """
@@ -103,7 +103,11 @@ class PotentialImpacts:
 
 @dataclass(frozen=True)
 class PredictionRange:
-    """Reachable prediction interval plus the label vectors attaining each end."""
+    """Reachable prediction interval plus the label vectors attaining each end.
+
+    The ends are `ranges` sums (base plus selected impacts) and a witness's
+    prediction is a dot product, so the two agree up to rounding only.
+    """
 
     interval: Interval
     lower_witness: np.ndarray
@@ -118,7 +122,10 @@ class CertResult:
     """Verdict for one test point.
 
     `counterexample` is present exactly when not robust: a reachable label
-    vector whose refit prediction escapes the decision.
+    vector whose refit prediction is the escaping end of the interval, up to
+    rounding.  When the interval escapes by no more than rounding, that
+    prediction may itself stay inside the limits; such borderline verdicts
+    are not flagged.
     """
 
     robust: bool
@@ -157,9 +164,14 @@ def potential_impacts(z: np.ndarray, delta: PerturbationVector) -> PotentialImpa
     return PotentialImpacts(positive, negative)
 
 
-# Float64 elements per work buffer of `ranges` (1 MiB); a block holds
-# max(1, ELEMS // n) functionals over n labels.
+# Float64 elements per block of work (1 MiB): `ranges` and hull certificates
+# handle max(1, ELEMS // width) rows of `width` values at a time.
 ELEMS = 1 << 17
+
+
+def block_rows(width: int, count: int) -> int:
+    """Rows per block when `count` rows of `width` values are processed in blocks."""
+    return max(1, min(count, ELEMS // width))
 
 
 def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = None):
@@ -182,7 +194,7 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     # With symmetric intervals a label's largest decrease is minus its
     # largest increase, so one selection serves both ends.
     symmetric = np.array_equal(spec.delta.lo, -spec.delta.hi)
-    rows = max(1, min(k, ELEMS // n))
+    rows = block_rows(n, k)
     increase, decrease, work = (np.empty((rows, n)) for _ in range(3))
     for start in range(0, k, rows):
         part, r = slice(start, start + rows), min(rows, k - start)
@@ -258,7 +270,8 @@ def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> Prediction
     moves the budgeted number of labels with the largest positive impact to
     their extreme endpoints (ties toward the lowest index); the lower one
     mirrors with the largest negative impacts.  Both are valid members of
-    the reachable label set.
+    the reachable label set, and each one's prediction is its end of the
+    interval up to rounding.
     """
     return _range(z, y, spec)[1]
 

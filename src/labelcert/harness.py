@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import interval_predict, model_hull
+from .approx import decide_approx_rows, model_hull
 from .bias import BiasSpec, PerturbationVector, contains
 from .config import ExperimentConfig, build_delta, resolve_budget
 from .data import SplitConfig, kfold, load_csv, split
@@ -27,7 +27,7 @@ from .errors import (
     NoAttackExists,
     TooFewRows,
 )
-from .exact import ELEMS, Decision, min_flips_from_influence, prediction_range, ranges
+from .exact import Decision, min_flips_from_influence, prediction_range, ranges
 from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict
 
 
@@ -56,14 +56,8 @@ def _exact_verdicts(influence, train_y, X_test, spec, decision) -> np.ndarray:
 
 
 def _approx_verdicts(hull, theta, X_test, decision) -> np.ndarray:
-    """Hull certificates on the rows of X_test, one block of rows at a time."""
-    verdicts = np.empty(len(X_test), dtype=bool)
-    rows = max(1, ELEMS // hull.m)
-    for start in range(0, len(X_test), rows):
-        X = X_test[start : start + rows]
-        lo, hi = interval_predict(hull, X)
-        verdicts[start : start + rows] = decision.keeps(predict(theta, X), lo, hi)
-    return verdicts
+    """Hull certificates on the rows of X_test, in blocks of rows."""
+    return decide_approx_rows(hull, theta, X_test, decision)
 
 
 def robustness_rate(
@@ -139,7 +133,10 @@ def lambda_sweep(
         lam: robustness_rate(train, val.X, task, spec, epsilon, lam, "exact").fraction
         for lam in admissible
     }
-    chosen = max(sorted(admissible, reverse=True), key=rates.__getitem__)  # ties: larger lam
+    chosen = None
+    for lam in sorted(admissible):
+        if chosen is None or rates[lam] >= rates[chosen]:
+            chosen = lam
     return SweepResult(chosen, accuracies, admissible, rates)
 
 
@@ -153,8 +150,11 @@ def group_rates(verdicts: np.ndarray, groups) -> dict:
     if not groups:
         raise MissingGroups("empty group label vector")
     verdicts = np.asarray(verdicts, dtype=bool)
-    masks = {g: np.array([x == g for x in groups]) for g in sorted(set(groups))}
-    return {g: float(verdicts[mask].mean()) for g, mask in masks.items()}
+    out = {}
+    for g in sorted(set(groups)):
+        mask = np.array([x == g for x in groups])
+        out[g] = float(verdicts[mask].mean())
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,56 +312,74 @@ def write_report(report: RobustnessReport, out_dir: str | Path) -> Path:
     return json_path
 
 
-def _write_table(path: Path, header: list, rows) -> Path:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 def render_csv_tables(payload: dict, out_dir: str | Path) -> list[Path]:
     """Re-render a report dict into rates/groups/verdicts/sweep CSV tables."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    written = []
+
     methods = sorted(payload["summary"].keys())
-    stats = ("mean", "min", "max")
-    folds = payload["per_fold"]
-    written = [_write_table(
-        out / "rates.csv",
-        ["budget"] + [f"{m}_{s}" for m in methods for s in stats],
-        ([label] + [payload["summary"][m][label][s] for m in methods for s in stats]
-         for label in payload["budgets"]),
-    )]
-    group_rows = [
-        [fold["fold"], m, label, group, rate]
-        for fold in folds
-        for m, by_budget in fold["group_rates"].items()
-        for label, by_group in by_budget.items()
-        for group, rate in sorted(by_group.items())
-    ]
+    rates_path = out / "rates.csv"
+    with open(rates_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        header = ["budget"]
+        for m in methods:
+            header += [f"{m}_mean", f"{m}_min", f"{m}_max"]
+        writer.writerow(header)
+        for label in payload["budgets"]:
+            row = [label]
+            for m in methods:
+                stats = payload["summary"][m][label]
+                row += [stats["mean"], stats["min"], stats["max"]]
+            writer.writerow(row)
+    written.append(rates_path)
+
+    group_rows = []
+    for fold in payload["per_fold"]:
+        for m, by_budget in fold["group_rates"].items():
+            for label, by_group in by_budget.items():
+                for group, rate in sorted(by_group.items()):
+                    group_rows.append([fold["fold"], m, label, group, rate])
     if group_rows:
-        header = ["fold", "method", "budget", "group", "rate"]
-        written.append(_write_table(out / "groups.csv", header, group_rows))
-    written.append(_write_table(
-        out / "verdicts.csv",
-        ["fold", "method", "budget", "row", "robust"],
-        ([fold["fold"], m, label, row, int(flag)]
-         for fold in folds
-         for m, by_budget in fold["verdicts"].items()
-         for label, flags in by_budget.items()
-         for row, flag in enumerate(flags)),
-    ))
-    sweep_rows = [
-        [fold["fold"], lam_label, acc, int(float(lam_label) in set(info["admissible"])),
-         info["rates"].get(lam_label, "")]
-        for fold in folds
-        if (info := fold.get("sweep"))
-        for lam_label, acc in info["accuracies"].items()
-    ]
+        groups_path = out / "groups.csv"
+        with open(groups_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["fold", "method", "budget", "group", "rate"])
+            writer.writerows(group_rows)
+        written.append(groups_path)
+
+    verdicts_path = out / "verdicts.csv"
+    with open(verdicts_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["fold", "method", "budget", "row", "robust"])
+        for fold in payload["per_fold"]:
+            for m, by_budget in fold["verdicts"].items():
+                for label, flags in by_budget.items():
+                    for row_index, flag in enumerate(flags):
+                        writer.writerow([fold["fold"], m, label, row_index, int(flag)])
+    written.append(verdicts_path)
+
+    sweep_rows = []
+    for fold in payload["per_fold"]:
+        info = fold.get("sweep")
+        if info:
+            for lam_label, acc in info["accuracies"].items():
+                sweep_rows.append(
+                    [
+                        fold["fold"],
+                        lam_label,
+                        acc,
+                        int(float(lam_label) in set(info["admissible"])),
+                        info["rates"].get(lam_label, ""),
+                    ]
+                )
     if sweep_rows:
-        header = ["fold", "lambda", "accuracy", "admissible", "val_rate"]
-        written.append(_write_table(out / "sweep.csv", header, sweep_rows))
+        sweep_path = out / "sweep.csv"
+        with open(sweep_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["fold", "lambda", "accuracy", "admissible", "val_rate"])
+            writer.writerows(sweep_rows)
+        written.append(sweep_path)
     return written
 
 
@@ -475,19 +493,27 @@ def _pad_attack(y, y_tilde, z, delta, k, upward) -> np.ndarray:
 
     Untouched rows are changed by their most attack-friendly nonzero
     endpoint; rows that would push the prediction the wrong way come last
-    and in increasing order of damage (ties toward the lowest row).
+    and in increasing order of damage.
     """
     y_tilde = y_tilde.copy()
     need = k - int(np.count_nonzero(y_tilde != y))
-    toward_hi = (z >= 0) == upward
-    toward = np.where(toward_hi, delta.hi, delta.lo)
-    d = np.where(toward != 0, toward, np.where(toward_hi, delta.lo, delta.hi))
-    gain = z * d if upward else -(z * d)  # toward the decision flip
-    free = np.flatnonzero((y_tilde == y) & (d != 0))
-    if free.size < need:
+    candidates = []
+    for i in range(len(y)):
+        if y_tilde[i] != y[i]:
+            continue
+        toward = delta.hi[i] if (z[i] >= 0) == upward else delta.lo[i]
+        other = delta.lo[i] if (z[i] >= 0) == upward else delta.hi[i]
+        d = toward if toward != 0 else other
+        if d == 0:
+            continue
+        effect = z[i] * d
+        gain = effect if upward else -effect  # toward the decision flip
+        candidates.append((-gain, i, d))
+    candidates.sort()
+    if len(candidates) < need:
         raise NoAttackExists(
-            f"only {k - need + free.size} labels may change under this perturbation model"
+            f"only {k - need + len(candidates)} labels may change under this perturbation model"
         )
-    chosen = free[np.lexsort((free, -gain[free]))][:need]
-    y_tilde[chosen] = y[chosen] + d[chosen]
+    for _, i, d in candidates[:need]:
+        y_tilde[i] = y[i] + d
     return y_tilde

@@ -20,6 +20,11 @@ from .errors import DimensionMismatch, SingularMatrix
 
 # Smallest admissible Cholesky pivot, relative to the largest Gram diagonal.
 PIVOT_RATIO_THRESHOLD = 1e-12
+# Most right-hand-side entries per triangular solve in `fit`.  OpenBLAS runs
+# larger solves on several threads, and its idle worker then busy-waits for
+# about 0.1 s, taking CPU from whatever runs next; a column's solution does
+# not depend on how many columns are solved together.
+SOLVE_ELEMS = 1023
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -159,7 +164,11 @@ def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, Influenc
             f"(pivot ratio {pivots.min() / np.diag(gram).max():.3e}); "
             "increase the ridge strength"
         )
-    C = cho_solve(factor, dataset.X.T)
+    C = np.empty((dataset.m, dataset.n), order="F")
+    step = max(1, SOLVE_ELEMS // dataset.m)
+    for start in range(0, dataset.n, step):
+        rows = slice(start, start + step)
+        C[:, rows] = cho_solve(factor, dataset.X[rows].T, check_finite=False)
     return ModelCoefficients(C @ dataset.y, lam), InfluenceMatrix(C, lam)
 
 

@@ -261,9 +261,8 @@ def test_c08_amortization_and_linear_scaling():
     X_test = rng.normal(size=(10000, 4))
     spec = BiasSpec(uniform_delta(5000, 0.5), 50)
 
-    # warm-up: the same call as the small timed one, so first-call overheads
-    # do not pollute the measurement
-    timing_report(train, X_test[:1000], "regression", spec, 1.0, 0.1)
+    # warm-up so first-call overheads do not pollute the measurement
+    timing_report(train, X_test[:50], "regression", spec, 1.0, 0.1)
 
     t_small = timing_report(train, X_test[:1000], "regression", spec, 1.0, 0.1)
     t_big = timing_report(train, X_test, "regression", spec, 1.0, 0.1)

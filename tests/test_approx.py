@@ -13,10 +13,18 @@ from labelcert import (
     model_hull,
     uniform_delta,
 )
-from labelcert.approx import hull_from_dict, hull_to_dict, interval_predict, save_hull
+from labelcert import exact
+from labelcert.approx import (
+    decide_approx,
+    decide_approx_rows,
+    hull_from_dict,
+    hull_to_dict,
+    interval_predict,
+    save_hull,
+)
 from labelcert.bias import Interval
 from labelcert.errors import DimensionMismatch
-from labelcert.exact import certify_from_influence, prediction_range
+from labelcert.exact import Decision, certify_from_influence, prediction_range
 from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members
 from oracle import brute_force_hull
@@ -177,6 +185,30 @@ class TestCertifyApprox:
         other = ModelCoefficients(np.zeros(2), 0.25)
         with pytest.raises(ValueError):
             certify_approx(hull, other, np.ones(2), 1.0)
+        with pytest.raises(ValueError):
+            decide_approx_rows(hull, other, np.ones((3, 2)), Decision.band(1.0))
+
+
+class TestDecideApproxRows:
+    def test_rows_equal_single_points_across_blocks(self, rng, monkeypatch):
+        ds = random_dataset(rng, n=9, m=3)
+        theta, influence = fit(ds, 0.4)
+        hull = model_hull(influence, ds.y, BiasSpec(random_delta(rng, 9), 2))
+        X = rng.normal(size=(7, 3))
+        monkeypatch.setattr(exact, "ELEMS", 2 * 3)  # blocks of 2, 2, 2 and 1 rows
+        for decision in (Decision.band(1.5), Decision.threshold()):
+            rows = decide_approx_rows(hull, theta, X, decision)
+            single = [decide_approx(hull, theta, x, decision).certified for x in X]
+            np.testing.assert_array_equal(rows, np.array(single, dtype=bool))
+        assert decide_approx_rows(hull, theta, np.empty((0, 3)), decision).shape == (0,)
+
+    def test_rejects_single_point(self, rng):
+        ds = random_dataset(rng, n=6, m=2)
+        theta, influence = fit(ds, 0.5)
+        hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(6, 1.0), 1))
+        for bad in (np.ones(2), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatch):
+                decide_approx_rows(hull, theta, bad, Decision.threshold())
 
 
 class TestCertifyApproxClassification:

@@ -198,6 +198,32 @@ class TestPredictionRange:
         assert z @ result.upper_witness == result.interval.hi
         assert z @ result.lower_witness == result.interval.lo
 
+    def test_witnesses_attain_ends_up_to_rounding(self, rng):
+        # Off dyadic data the interval's ends (base plus a sum of selected
+        # impacts) and the witnesses' predictions (dot products) agree only up
+        # to rounding, so a counterexample escapes unless the interval escapes
+        # by no more than that.
+        mismatched = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            z, y = rng.normal(size=n), rng.normal(size=n)
+            spec = BiasSpec(random_delta(rng, n), int(rng.integers(0, n + 1)))
+            result = prediction_range(z, y, spec)
+            lo, hi = result.interval.lo, result.interval.hi
+            tol = 1e-12 * (np.abs(z) @ (np.abs(y) + 2.0))
+            for witness, end in ((result.lower_witness, lo), (result.upper_witness, hi)):
+                assert abs(z @ witness - end) <= tol
+                mismatched += z @ witness != end
+            base = exact.decide_exact(z, y, spec, Decision.threshold()).base_prediction
+            for decision in (Decision.band(hi - base), Decision.band(0.5), Decision.threshold()):
+                cert = exact.decide_exact(z, y, spec, decision)
+                assert cert.robust == bool(decision.keeps(base, lo, hi))
+                if not cert.robust:
+                    low, high = decision.limits(cert.base_prediction)
+                    reached = z @ cert.counterexample
+                    assert reached < low + tol or reached > high - tol
+        assert mismatched  # the rounding this test allows for does occur
+
     @given(dyadic_instances())
     @settings(max_examples=60)
     def test_nested_in_budget(self, instance):

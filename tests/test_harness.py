@@ -94,8 +94,8 @@ class TestBlockVerdicts:
         hull = model_hull(influence, ds.y, spec)
         # three-row blocks: 7 rows make blocks of 3, 3 and 1
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
-        monkeypatch.setattr(harness, "ELEMS", 3 * ds.m)
         exact_block = harness._exact_verdicts(influence, ds.y, X_test, spec, decision)
+        monkeypatch.setattr(exact, "ELEMS", 3 * ds.m)
         approx_block = harness._approx_verdicts(hull, theta, X_test, decision)
         exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
                         for x in X_test]

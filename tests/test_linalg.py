@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from labelcert import Dataset, fit
+from labelcert import Dataset, fit, linalg
 from labelcert.errors import DimensionMismatch, SingularMatrix
 from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector, predict
 
@@ -81,6 +81,16 @@ class TestInfluenceMatrix:
         np.testing.assert_allclose(
             theta.values, np.linalg.solve(gram, ds.X.T @ ds.y), rtol=1e-10, atol=1e-12
         )
+
+    def test_solve_chunks_cover_every_column(self, rng, monkeypatch):
+        # 11 columns solved two at a time: the last chunk holds one column
+        ds = Dataset(rng.normal(size=(11, 3)), rng.normal(size=11))
+        whole = fit(ds, 0.5)[1].values
+        monkeypatch.setattr(linalg, "SOLVE_ELEMS", 2 * 3 + 1)
+        chunked = fit(ds, 0.5)[1].values
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-15)
+        gram = ds.X.T @ ds.X + 0.5 * np.eye(3)
+        np.testing.assert_allclose(chunked, np.linalg.solve(gram, ds.X.T), rtol=1e-10, atol=1e-12)
 
 
 class TestInfluenceVector:
