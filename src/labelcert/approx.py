@@ -127,7 +127,7 @@ def decide_approx_rows(
     """
     _same_fit(hull, coefficients)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
+    if X.ndim != 2 or X.shape[1] != hull.m:
         raise DimensionMismatch(f"test points have shape {X.shape}, expected (k, {hull.m})")
     certified = np.empty(len(X), dtype=bool)
     rows = block_rows(hull.m, len(X))

@@ -206,7 +206,7 @@ class TestDecideApproxRows:
         ds = random_dataset(rng, n=6, m=2)
         theta, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(6, 1.0), 1))
-        for bad in (np.ones(2), np.ones((2, 3))):
+        for bad in (np.ones(2), np.ones((2, 3)), np.ones((0, 3))):
             with pytest.raises(DimensionMismatch):
                 decide_approx_rows(hull, theta, bad, Decision.threshold())
 
