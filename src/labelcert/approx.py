@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bias import BiasSpec, Interval
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, LabelCertError, ParseError
 from .exact import Decision, block_rows, ranges
 from .linalg import InfluenceMatrix, ModelCoefficients, predict
 
@@ -113,8 +113,8 @@ def decide_approx(
     """
     _same_fit(hull, coefficients)
     predicted = interval_predict(hull, x)
-    escaped, _ = decision.breach(predict(coefficients, x), predicted.lo, predicted.hi)
-    return ApproxVerdict(not escaped, predicted)
+    certified = decision.keeps(predict(coefficients, x), predicted.lo, predicted.hi)
+    return ApproxVerdict(bool(certified), predicted)
 
 
 def decide_approx_rows(
@@ -168,16 +168,24 @@ def hull_to_dict(hull: ModelHull) -> dict:
 
 
 def hull_from_dict(payload: dict) -> ModelHull:
-    if payload.get("format") != _HULL_FORMAT:
-        raise ValueError(f"unrecognized hull payload format: {payload.get('format')!r}")
-    intervals = payload["intervals"]
-    return ModelHull(
-        lower=np.array([iv[0] for iv in intervals]),
-        upper=np.array([iv[1] for iv in intervals]),
-        base=ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"]),
-        budget=int(payload["budget"]),
-        fingerprint=str(payload["fingerprint"]),
-    )
+    """Inverse of `hull_to_dict`.  A missing or malformed key, or an interval that is
+    empty or unbounded (which `ranges` never builds), raises ParseError."""
+    found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
+    if found != _HULL_FORMAT:
+        raise ValueError(f"unrecognized hull payload format: {found!r}")
+    try:
+        intervals = [Interval(*pair) for pair in payload["intervals"]]
+        return ModelHull(
+            lower=np.array([iv.lo for iv in intervals]),
+            upper=np.array([iv.hi for iv in intervals]),
+            base=ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"]),
+            budget=int(payload["budget"]),
+            fingerprint=str(payload["fingerprint"]),
+        )
+    except KeyError as exc:
+        raise ParseError(f"hull payload lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"hull payload has a malformed value: {exc}") from None
 
 
 def save_hull(hull: ModelHull, path: str | Path) -> None:
@@ -185,4 +193,8 @@ def save_hull(hull: ModelHull, path: str | Path) -> None:
 
 
 def load_hull(path: str | Path) -> ModelHull:
-    return hull_from_dict(json.loads(Path(path).read_text()))
+    """Read a hull written by `save_hull`; a malformed file raises ParseError naming it."""
+    try:
+        return hull_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, LabelCertError) as exc:
+        raise ParseError(f"cannot load hull {path}: {exc}") from exc

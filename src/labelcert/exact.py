@@ -6,11 +6,11 @@ budget is a closed interval whose endpoints are attained by moving the
 budgeted number of highest-impact labels to interval endpoints.  `ranges`
 computes that interval for a whole block of functionals at once: one
 in-place partition (introselect) per row selects the top-budget impacts, so
-no row is sorted.  Every verdict takes its interval from it.  This module
-also builds the witness label vectors attaining each end up to rounding
-(for one functional at a time), robustness verdicts against a `Decision` (a
-prediction band or the 0.5 threshold), and the smallest budget that breaks
-robustness.
+no row is sorted.  Every verdict takes its interval from it.  Witnesses of
+each end (attained up to rounding), the smallest budget that breaks
+robustness and fixed-size attacks all move a prefix of one greedy label
+order, one functional at a time.  Verdicts are judged against a `Decision`
+(a prediction band or the 0.5 threshold).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bias import BiasSpec, Interval, PerturbationVector
-from .errors import DimensionMismatch, NonBinaryLabel
+from .errors import DimensionMismatch, NoAttackExists, NonBinaryLabel
 from .linalg import Dataset, fit, influence_vector
 
 # Binary decision threshold; a prediction of exactly 0.5 classifies as 1.
@@ -89,19 +89,6 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class PotentialImpacts:
-    """Per-label extremal effect on one prediction.
-
-    positive[i] is the largest increase perturbing label i alone can cause,
-    negative[i] the largest decrease; both are 0 when the label cannot move
-    or has no influence.
-    """
-
-    positive: np.ndarray
-    negative: np.ndarray
-
-
-@dataclass(frozen=True)
 class PredictionRange:
     """Reachable prediction interval plus the label vectors attaining each end.
 
@@ -143,25 +130,6 @@ class MinFlipsResult:
     witness: np.ndarray
     prediction: float
     side: str  # "upper" or "lower"
-
-
-def potential_impacts(z: np.ndarray, delta: PerturbationVector) -> PotentialImpacts:
-    """Extremal per-label effects of moving each label within its interval.
-
-    For influence z_i >= 0 the largest increase uses the upper interval
-    endpoint and the largest decrease the lower one; signs swap for z_i < 0.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != delta.lo.shape:
-        raise DimensionMismatch(
-            f"influence vector has shape {z.shape}, perturbation vector {delta.lo.shape}"
-        )
-    nonneg = z >= 0
-    positive = np.where(nonneg, z * delta.hi, z * delta.lo)
-    negative = np.where(nonneg, z * delta.lo, z * delta.hi)
-    positive.flags.writeable = False
-    negative.flags.writeable = False
-    return PotentialImpacts(positive, negative)
 
 
 # Float64 elements per block of work (1 MiB): `ranges` and hull certificates
@@ -225,26 +193,48 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     return base, lo, hi
 
 
-def _top_indices(impacts: np.ndarray, budget: int, maximize: bool) -> np.ndarray:
-    """Indices of the `budget` largest gains (or most negative drops).
+def gains(z: np.ndarray, delta: PerturbationVector, side: str) -> np.ndarray:
+    """How far moving each label alone can push z . y toward `side` ("upper" or "lower"):
+    max(z*hi, z*lo) or -min(z*hi, z*lo), the impacts `ranges` selects from.  Never negative."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != delta.lo.shape:
+        raise DimensionMismatch(f"influence vector {z.shape}, intervals {delta.lo.shape}")
+    up, down = z * delta.hi, z * delta.lo
+    return np.maximum(up, down) if side == "upper" else -np.minimum(up, down)
 
-    Ties break toward the lowest index; zero-impact labels are never chosen
-    since perturbing them cannot move the prediction.
-    """
-    order = np.argsort(-impacts if maximize else impacts, kind="stable")
-    chosen = order[:budget]
-    return chosen[impacts[chosen] > 0] if maximize else chosen[impacts[chosen] < 0]
+
+def _greedy(gain: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
+    """The greedy label order: the labels `among` (ascending; default: those with a
+    nonzero gain) by decreasing gain, ties to the lowest index."""
+    among = np.flatnonzero(gain) if among is None else among
+    return among[np.argsort(-gain[among], kind="stable")]
 
 
-def _perturbed(
-    y: np.ndarray, z: np.ndarray, delta: PerturbationVector, idx: np.ndarray, upward: bool
-) -> np.ndarray:
+def _moved(y: np.ndarray, z: np.ndarray, delta: PerturbationVector, side: str, idx) -> np.ndarray:
+    """Read-only copy of y with the labels `idx` moved to push z . y toward `side`: each
+    to the end of its interval on that side, or to the other end where that one is 0."""
+    toward_hi = (z[idx] >= 0) == (side == "upper")
+    near = np.where(toward_hi, delta.hi[idx], delta.lo[idx])
     out = y.copy()
-    if idx.size:
-        toward_hi = (z[idx] >= 0) == upward
-        out[idx] = y[idx] + np.where(toward_hi, delta.hi[idx], delta.lo[idx])
+    out[idx] += np.where(near != 0, near, np.where(toward_hi, delta.lo[idx], delta.hi[idx]))
     out.flags.writeable = False
     return out
+
+
+def fixed_attack(
+    z: np.ndarray, y: np.ndarray, delta: PerturbationVector, side: str, k: int
+) -> np.ndarray:
+    """y with the first k movable labels of the greedy order toward `side` moved.
+
+    After the labels with a positive gain, the other movable ones follow by decreasing
+    effect: no effect, then least damaging.  NoAttackExists when fewer than k can move."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    gain = gains(z, delta, side)
+    effect = np.where(gain > 0, gain, -gains(z, delta, "lower" if side == "upper" else "upper"))
+    free = np.flatnonzero((delta.lo != 0) | (delta.hi != 0))
+    if free.size < k:
+        raise NoAttackExists(f"only {free.size} labels may change under this perturbation model")
+    return _moved(y, z, delta, side, _greedy(effect, free)[:k])
 
 
 def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, PredictionRange]:
@@ -253,25 +243,21 @@ def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, Predict
     if z.shape != y.shape:
         raise DimensionMismatch(f"shapes z{z.shape}, y{y.shape} differ")
     base, lo, hi = ranges(z[None, :], y, spec)
-    impacts = potential_impacts(z, spec.delta)
-    up_idx = _top_indices(impacts.positive, spec.budget, maximize=True)
-    dn_idx = _top_indices(impacts.negative, spec.budget, maximize=False)
+    delta, budget = spec.delta, spec.budget
     return float(base[0]), PredictionRange(
         interval=Interval(lo[0], hi[0]),
-        lower_witness=_perturbed(y, z, spec.delta, dn_idx, upward=False),
-        upper_witness=_perturbed(y, z, spec.delta, up_idx, upward=True),
+        lower_witness=_moved(y, z, delta, "lower", _greedy(gains(z, delta, "lower"))[:budget]),
+        upper_witness=_moved(y, z, delta, "upper", _greedy(gains(z, delta, "upper"))[:budget]),
     )
 
 
 def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> PredictionRange:
     """Tight reachable prediction interval for the linear functional z . y.
 
-    The interval is the one `ranges` gives this row.  The upper witness
-    moves the budgeted number of labels with the largest positive impact to
-    their extreme endpoints (ties toward the lowest index); the lower one
-    mirrors with the largest negative impacts.  Both are valid members of
-    the reachable label set, and each one's prediction is its end of the
-    interval up to rounding.
+    The interval is the one `ranges` gives this row.  Each witness moves
+    the first `budget` labels of the greedy order toward its end.  Both are
+    valid members of the reachable label set, and each one's prediction is
+    its end of the interval up to rounding.
     """
     return _range(z, y, spec)[1]
 
@@ -327,35 +313,30 @@ def min_flips_from_influence(
 ) -> MinFlipsResult | None:
     """Smallest number of label changes that makes the prediction escape the decision.
 
-    Greedy by impact: the k-th step perturbs the unused label with the
-    largest remaining impact, so after k steps the prediction sits at the
-    extreme reachable with budget k.  Upward and downward excursions are
-    searched separately; the smaller budget wins, the upward one on ties.
-    Returns None when every label with a nonzero impact is exhausted and the
-    decision still holds.
+    The k-th step moves the k-th label of the greedy order toward one side,
+    so after k steps the prediction sits at the extreme reachable with budget
+    k.  Upward and downward excursions are searched separately; the smaller
+    budget wins, the upward one on ties.  Returns None when every label with
+    a nonzero gain is exhausted and the decision still holds.
     """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     if z.shape != y.shape or y.shape != delta.lo.shape:
-        raise DimensionMismatch(
-            f"shapes z{z.shape}, y{y.shape} inconsistent with {delta.lo.shape} intervals"
-        )
-    impacts = potential_impacts(z, delta)
+        raise DimensionMismatch(f"shapes z{z.shape}, y{y.shape}, intervals {delta.lo.shape}")
     base = float(z @ y)
     best = None
-    for side, imp in (("upper", impacts.positive), ("lower", impacts.negative)):
-        if not decision.escapes(base, base + imp.sum()):
+    for side, sign in (("upper", 1.0), ("lower", -1.0)):
+        gain = gains(z, delta, side)
+        if not decision.escapes(base, base + sign * gain.sum()):
             continue  # moving every label this way still keeps the decision
-        order = np.argsort(-np.abs(imp), kind="stable")
-        steps = imp[order]
-        reach = base + np.cumsum(steps[steps != 0])
+        order = _greedy(gain)
+        reach = base + sign * np.cumsum(gain[order])
         breaking = np.flatnonzero(decision.escapes(base, reach))
         if breaking.size and (best is None or breaking[0] + 1 < best[0]):
             best = (int(breaking[0]) + 1, side, order)
     if best is None:
         return None
     flips, side, order = best
-    witness = _perturbed(y, z, delta, order[:flips], upward=side == "upper")
+    witness = _moved(y, z, delta, side, order[:flips])
     return MinFlipsResult(flips, witness, float(z @ witness), side)
 
 

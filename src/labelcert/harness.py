@@ -27,7 +27,7 @@ from .errors import (
     NoAttackExists,
     TooFewRows,
 )
-from .exact import Decision, min_flips_from_influence, prediction_range, ranges
+from .exact import Decision, fixed_attack, min_flips_from_influence, ranges
 from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict
 
 
@@ -55,11 +55,6 @@ def _exact_verdicts(influence, train_y, X_test, spec, decision) -> np.ndarray:
     return decision.keeps(*ranges(influence.values, train_y, spec, X_test))
 
 
-def _approx_verdicts(hull, theta, X_test, decision) -> np.ndarray:
-    """Hull certificates on the rows of X_test, in blocks of rows."""
-    return decide_approx_rows(hull, theta, X_test, decision)
-
-
 def robustness_rate(
     train: Dataset,
     X_test: np.ndarray,
@@ -76,7 +71,7 @@ def robustness_rate(
         verdicts = _exact_verdicts(influence, train.y, X_test, spec, decision)
     elif method == "approx":
         hull = model_hull(influence, train.y, spec)
-        verdicts = _approx_verdicts(hull, theta, X_test, decision)
+        verdicts = decide_approx_rows(hull, theta, X_test, decision)
     else:
         raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
     fraction = float(verdicts.mean()) if verdicts.size else float("nan")
@@ -238,7 +233,7 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
         if "approx" in methods:
             start = time.perf_counter()
             hull = model_hull(influence, train.y, spec)
-            v = _approx_verdicts(hull, theta, test.X, decision)
+            v = decide_approx_rows(hull, theta, test.X, decision)
             timings["approx"] = timings.get("approx", 0.0) + time.perf_counter() - start
             verdicts["approx"][label] = v
         for m in methods:
@@ -406,7 +401,7 @@ def timing_report(
     start = time.perf_counter()
     hull = model_hull(influence, train.y, spec)
     hull_seconds = time.perf_counter() - start
-    approx = _approx_verdicts(hull, theta, X_test, decision)
+    approx = decide_approx_rows(hull, theta, X_test, decision)
     approx_seconds = time.perf_counter() - start
 
     return {
@@ -431,18 +426,17 @@ def export_attack(
     """Write a poisoned label file that attacks the thresholded prediction of x.
 
     `flips` is either "minimal" (smallest attack that flips the class, via
-    the greedy search) or a fixed count (the extreme witness at that budget,
-    padded with zero-effect label changes so the file differs from the
-    original labels in exactly the requested number of rows).
+    the greedy search) or a fixed count k: the first k labels of the greedy
+    order toward the other class, so the file differs from the original
+    labels in exactly k rows.
     """
     y = dataset.y
-    threshold = Decision.threshold()
     _, influence = fit(dataset, lam)
     z = influence_vector(x, influence)
     base = float(z @ y)
 
     if flips == "minimal":
-        result = min_flips_from_influence(z, y, delta, threshold)
+        result = min_flips_from_influence(z, y, delta, Decision.threshold())
         if result is None:
             raise NoAttackExists(
                 "no reachable label perturbation changes this prediction"
@@ -453,11 +447,9 @@ def export_attack(
         k = int(flips)
         if not 0 <= k <= dataset.n:
             raise ValueError(f"flip count must be in [0, {dataset.n}], got {flips!r}")
-        rng = prediction_range(z, y, BiasSpec(delta, k))
-        _, side = threshold.breach(base, rng.interval.lo, rng.interval.hi)
-        y_tilde = np.array(rng.witness(side))
-        if np.count_nonzero(y_tilde != y) < k:
-            y_tilde = _pad_attack(y, y_tilde, z, delta, k, upward=side == "upper")
+        # under the threshold only the end toward the other class can break
+        side = "lower" if Decision.label(base) else "upper"
+        y_tilde = fixed_attack(z, y, delta, side, k)
         mode, requested = "fixed", k
 
     changed = np.flatnonzero(y_tilde != y)
@@ -486,34 +478,3 @@ def export_attack(
         "flipped": bool(new_class != old_class),
         "labels_path": str(labels_path),
     }
-
-
-def _pad_attack(y, y_tilde, z, delta, k, upward) -> np.ndarray:
-    """Top up a fixed-budget attack to exactly k changed rows.
-
-    Untouched rows are changed by their most attack-friendly nonzero
-    endpoint; rows that would push the prediction the wrong way come last
-    and in increasing order of damage.
-    """
-    y_tilde = y_tilde.copy()
-    need = k - int(np.count_nonzero(y_tilde != y))
-    candidates = []
-    for i in range(len(y)):
-        if y_tilde[i] != y[i]:
-            continue
-        toward = delta.hi[i] if (z[i] >= 0) == upward else delta.lo[i]
-        other = delta.lo[i] if (z[i] >= 0) == upward else delta.hi[i]
-        d = toward if toward != 0 else other
-        if d == 0:
-            continue
-        effect = z[i] * d
-        gain = effect if upward else -effect  # toward the decision flip
-        candidates.append((-gain, i, d))
-    candidates.sort()
-    if len(candidates) < need:
-        raise NoAttackExists(
-            f"only {k - need + len(candidates)} labels may change under this perturbation model"
-        )
-    for _, i, d in candidates[:need]:
-        y_tilde[i] = y[i] + d
-    return y_tilde

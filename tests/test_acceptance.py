@@ -28,7 +28,7 @@ from labelcert import (
 from labelcert.approx import interval_predict
 from labelcert.bias import contains, scale_delta
 from labelcert.data import SplitConfig, split, with_bias_column
-from labelcert.exact import certify_from_influence, potential_impacts, prediction_range
+from labelcert.exact import certify_from_influence, gains, prediction_range
 from labelcert.harness import export_attack
 from labelcert.linalg import InfluenceMatrix, influence_vector, predict
 from conftest import random_delta, random_instance, sample_bias_members
@@ -40,13 +40,13 @@ def _report(criterion: str):
 
 
 def test_c01_worked_example_goldens():
-    """Two-label golden instance: impacts, range, and the epsilon=3 verdict, exactly."""
+    """Two-label golden instance: gains, range, and the epsilon=3 verdict, exactly."""
     z = np.array([-1.0, 2.0])
     y = np.array([3.0, 4.0])
     spec = BiasSpec(uniform_delta(2, 1.0), 1)
 
-    impacts = potential_impacts(z, spec.delta)
-    assert impacts.positive.tolist() == [1.0, 2.0]
+    assert gains(z, spec.delta, "upper").tolist() == [1.0, 2.0]
+    assert gains(z, spec.delta, "lower").tolist() == [1.0, 2.0]
 
     rng_result = prediction_range(z, y, spec)
     assert rng_result.interval.lo == 3.0

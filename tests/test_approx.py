@@ -1,5 +1,7 @@
 """Tests for the hull-based approximate certifier."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from labelcert.approx import (
     save_hull,
 )
 from labelcert.bias import Interval
-from labelcert.errors import DimensionMismatch
+from labelcert.errors import DimensionMismatch, ParseError
 from labelcert.exact import Decision, certify_from_influence, prediction_range
 from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members
@@ -250,3 +252,29 @@ class TestHullSerialization:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             hull_from_dict({"format": "something-else"})
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(ParseError, match="'intervals'"):
+            hull_from_dict({"format": "labelcert-hull/1"})
+
+    def test_non_json_file_is_named(self, tmp_path):
+        path = tmp_path / "hull.json"
+        path.write_text("not json")
+        with pytest.raises(ParseError, match="hull.json"):
+            load_hull(path)
+
+    def test_rejects_lower_above_upper(self, tmp_path):
+        payload = hull_to_dict(_hull3())
+        payload["intervals"][1] = [2.0, 1.0]
+        with pytest.raises(ParseError, match="empty"):
+            hull_from_dict(payload)
+        path = tmp_path / "hull.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="hull.json"):
+            load_hull(path)
+
+    def test_rejects_non_finite_bound(self):
+        payload = hull_to_dict(_hull3())
+        payload["intervals"][0] = [float("-inf"), 1.0]
+        with pytest.raises(ParseError, match="finite"):
+            hull_from_dict(payload)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelcert import (
     BiasSpec,
@@ -14,14 +15,15 @@ from labelcert import (
     uniform_delta,
 )
 from labelcert.bias import PerturbationVector, contains, scale_delta
-from labelcert.errors import DimensionMismatch, NonBinaryLabel
+from labelcert.errors import DimensionMismatch, NoAttackExists, NonBinaryLabel
 from labelcert import exact
 from labelcert.exact import (
     Decision,
     certify_from_influence,
     classify_from_influence,
+    fixed_attack,
+    gains,
     min_flips_from_influence,
-    potential_impacts,
     prediction_range,
     ranges,
 )
@@ -120,30 +122,32 @@ class TestDecision:
 
 
 class TestPotentialImpacts:
+    """`gains`: each label's potential impact toward one side of the prediction."""
+
     def test_worked_example_positive(self):
-        imp = potential_impacts(Z2, SPEC2.delta)
-        np.testing.assert_array_equal(imp.positive, [1.0, 2.0])
+        np.testing.assert_array_equal(gains(Z2, SPEC2.delta, "upper"), [1.0, 2.0])
 
     def test_worked_example_negative(self):
-        imp = potential_impacts(Z2, SPEC2.delta)
-        np.testing.assert_array_equal(imp.negative, [-1.0, -2.0])
+        np.testing.assert_array_equal(gains(Z2, SPEC2.delta, "lower"), [1.0, 2.0])
 
     def test_zero_intervals_zero_impacts(self, rng):
         z = rng.normal(size=5)
-        imp = potential_impacts(z, uniform_delta(5, 0.0))
-        np.testing.assert_array_equal(imp.positive, np.zeros(5))
-        np.testing.assert_array_equal(imp.negative, np.zeros(5))
+        for side in ("upper", "lower"):
+            np.testing.assert_array_equal(gains(z, uniform_delta(5, 0.0), side), np.zeros(5))
 
     def test_signs(self, rng):
+        # a label moved to its end on the attacked side never loses
         for _ in range(20):
-            z, _, spec = random_instance(rng, 8, 3)
-            imp = potential_impacts(z, spec.delta)
-            assert (imp.positive >= 0).all()
-            assert (imp.negative <= 0).all()
+            z, y, spec = random_instance(rng, 8, 3)
+            up, down = (gains(z, spec.delta, side) for side in ("upper", "lower"))
+            assert (up >= 0).all() and (down >= 0).all()
+            full = prediction_range(z, y, BiasSpec(spec.delta, 8))
+            np.testing.assert_allclose(z * (full.upper_witness - y), up, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(z * (y - full.lower_witness), down, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            potential_impacts(np.ones(3), uniform_delta(2, 1.0))
+            gains(np.ones(3), uniform_delta(2, 1.0), "upper")
 
 
 class TestPredictionRange:
@@ -463,8 +467,7 @@ class TestMinFlips:
 
     def test_zero_epsilon_single_flip(self, rng):
         z, y, spec = random_instance(rng, 6, 1)
-        imp = potential_impacts(z, spec.delta)
-        if imp.positive.max() > 0 or imp.negative.min() < 0:
+        if gains(z, spec.delta, "upper").max() > 0 or gains(z, spec.delta, "lower").max() > 0:
             result = min_flips_from_influence(z, y, spec.delta, Decision.band(0.0))
             assert result.flips == 1
 
@@ -538,6 +541,50 @@ class TestMinFlips:
             assert not classify_from_influence(z, y, BiasSpec(spec.delta, k)).robust
             assert classify_from_influence(z, y, BiasSpec(spec.delta, k - 1)).robust
             assert Decision.label(z @ result.witness) != Decision.label(z @ y)
+
+
+@st.composite
+def tied_instances(draw, max_n: int = 6):
+    """(z, y, spec) whose gains tie often: z on a coarse grid, unit or flip intervals."""
+    n = draw(st.integers(1, max_n))
+    z = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    delta = uniform_delta(n, 1.0) if draw(st.booleans()) else classification_delta(y)
+    return z, y, BiasSpec(delta, 0)
+
+
+class TestGreedyOrder:
+    """Witnesses, minimum flips and fixed attacks all move a prefix of one greedy order."""
+
+    def test_fixed_attack_past_the_helpful_labels(self):
+        z = np.array([1.0, 2.0, 0.0, -1.0, 0.5, 3.0, -2.0, 0.0])
+        y = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        delta = PerturbationVector(np.array([-1.0, 0, 0, -1, -1, 0, -1, -1]),
+                                   np.array([0.0, 1, 1, 0, 0, 0, 0, 0]))
+        # helpful rows by decreasing gain (2, 2, 1; ties by index), then the
+        # zero-gain rows by index, then the wrong-way rows, least damaging
+        # first (-0.5, then -1); row 5 cannot move at all
+        order = [1, 6, 3, 2, 7, 4, 0]
+        for k in range(len(order) + 1):
+            attack = fixed_attack(z, y, delta, "upper", k)
+            assert sorted(np.flatnonzero(attack != y)) == sorted(order[:k])
+            if k <= 3:  # within the helpful rows it is the upper witness
+                witness = prediction_range(z, y, BiasSpec(delta, k)).upper_witness
+                np.testing.assert_array_equal(attack, witness)
+        np.testing.assert_array_equal(attack, [0.0, 1, 1, 0, 0, 0, 0, 0])
+        with pytest.raises(NoAttackExists, match="only 7 labels"):
+            fixed_attack(z, y, delta, "upper", 8)
+
+    @given(st.one_of(dyadic_instances(max_n=6), tied_instances()),
+           st.sampled_from([Decision.band(0.5), Decision.band(0.0), Decision.threshold()]))
+    @settings(max_examples=150)
+    def test_min_flips_witness_is_the_range_witness(self, instance, decision):
+        z, y, spec = instance
+        result = min_flips_from_influence(z, y, spec.delta, decision)
+        if result is not None:
+            at_k = prediction_range(z, y, BiasSpec(spec.delta, result.flips))
+            np.testing.assert_array_equal(result.witness, at_k.witness(result.side))
 
 
 class TestBinaryExactness:

@@ -96,7 +96,7 @@ class TestBlockVerdicts:
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
         exact_block = harness._exact_verdicts(influence, ds.y, X_test, spec, decision)
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.m)
-        approx_block = harness._approx_verdicts(hull, theta, X_test, decision)
+        approx_block = harness.decide_approx_rows(hull, theta, X_test, decision)
         exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
                         for x in X_test]
         approx_single = [decide_approx(hull, theta, x, decision).certified for x in X_test]
@@ -315,7 +315,7 @@ class TestRunExperiment:
         shifted = {label: np.roll(np.array(v), 1) for label, v in exact.items()}
         first = int(np.flatnonzero(shifted["0.5%"] & ~np.array(exact["0.5%"]))[0])
         labels = iter(("0.5%", "2%"))
-        monkeypatch.setattr(harness, "_approx_verdicts", lambda *args: shifted[next(labels)])
+        monkeypatch.setattr(harness, "decide_approx_rows", lambda *args: shifted[next(labels)])
         with pytest.raises(RuntimeError, match=rf"test row {first}, .* budget 0\.5%"):
             run_experiment(config)
 
