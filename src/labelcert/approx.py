@@ -13,6 +13,7 @@ failure to certify proves nothing.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,20 +169,34 @@ def hull_to_dict(hull: ModelHull) -> dict:
 
 
 def hull_from_dict(payload: dict) -> ModelHull:
-    """Inverse of `hull_to_dict`.  A missing or malformed key, or an interval that is
-    empty or unbounded (which `ranges` never builds), raises ParseError."""
+    """Inverse of `hull_to_dict`.  A missing or malformed key raises ParseError naming
+    it, as does anything `model_hull` never writes: an empty or unbounded interval,
+    a base coefficient outside its interval, a budget that is not a count, or a
+    fingerprint that is not a SHA-256 hex digest."""
     found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
     if found != _HULL_FORMAT:
         raise ValueError(f"unrecognized hull payload format: {found!r}")
     try:
         intervals = [Interval(*pair) for pair in payload["intervals"]]
-        return ModelHull(
+        base = ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"])
+        budget, fingerprint = payload["budget"], payload["fingerprint"]
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+            raise ParseError(f"hull payload key 'budget' must be a count >= 0, got {budget!r}")
+        if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
+            raise ParseError(f"hull payload key 'fingerprint' is not a SHA-256 hex digest: "
+                             f"{fingerprint!r}")
+        hull = ModelHull(
             lower=np.array([iv.lo for iv in intervals]),
             upper=np.array([iv.hi for iv in intervals]),
-            base=ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"]),
-            budget=int(payload["budget"]),
-            fingerprint=str(payload["fingerprint"]),
+            base=base,
+            budget=budget,
+            fingerprint=fingerprint,
         )
+        outside = (hull.base.values < hull.lower) | (hull.base.values > hull.upper)
+        if outside.any():
+            raise ParseError(f"hull payload key 'base_coefficients' has entry "
+                             f"{int(np.argmax(outside))} outside its interval")
+        return hull
     except KeyError as exc:
         raise ParseError(f"hull payload lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:

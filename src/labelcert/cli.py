@@ -40,6 +40,13 @@ def _load_config(args, **extra):
     return config
 
 
+def _load_splits(args):
+    """Config plus the train and test splits of its dataset, for single-split commands."""
+    config = _load_config(args)
+    train, _, test = split(load_dataset(config), config.split)
+    return config, train, test
+
+
 def _test_row(index: int, test) -> int:
     """Check a --index against the test split before anything is written."""
     if not 0 <= index < test.n:
@@ -95,9 +102,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_min_flips(args) -> int:
-    config = _load_config(args)
-    dataset = load_dataset(config)
-    train, _, test = split(dataset, config.split)
+    config, train, test = _load_splits(args)
     delta = build_delta(config, train)
     lam = config.lambda_grid[0]
     _, influence = fit(train, lam)
@@ -118,9 +123,7 @@ def cmd_min_flips(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    config = _load_config(args)
-    dataset = load_dataset(config)
-    train, _, _ = split(dataset, config.split)
+    config, train, _ = _load_splits(args)
     spec = build_spec(config, train, args.budget if args.budget is not None
                       else config.budgets[0])
     lam = args.lam if args.lam is not None else config.lambda_grid[0]
@@ -133,9 +136,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config = _load_config(args)
-    dataset = load_dataset(config)
-    train, _, test = split(dataset, config.split)
+    config, train, test = _load_splits(args)
     delta = build_delta(config, train)
     index = _test_row(args.index, test)
     lam = config.lambda_grid[0]
@@ -160,12 +161,14 @@ def cmd_report(args) -> int:
         payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LabelCertError(f"cannot read report {args.report}: {exc}") from exc
-    keys = payload if isinstance(payload, dict) else {}
-    missing = [k for k in ("summary", "budgets", "per_fold") if k not in keys]
-    if missing:
-        raise LabelCertError(f"report {args.report} lacks {', '.join(missing)}")
     config = _load_config(args)
-    for path in render_csv_tables(payload, config.out_dir):
+    try:
+        paths = render_csv_tables(payload, config.out_dir)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LabelCertError(
+            f"report {args.report} is malformed: {type(exc).__name__} {exc}"
+        ) from exc
+    for path in paths:
         print(path)
     return 0
 

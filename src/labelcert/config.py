@@ -63,8 +63,10 @@ class ExperimentConfig:
             raise ValueError("lambda grid must be nonempty")
         if self.task == "regression" and self.epsilon is None:
             raise ValueError("regression experiments require an epsilon")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.epsilon is not None:
+            self.epsilon = float(self.epsilon)
+            if self.epsilon < 0:
+                raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.bias_kind not in ("uniform", "classification", "file"):
             raise ValueError(f"unknown bias kind {self.bias_kind!r}")
         self.budgets = tuple(self.budgets)
@@ -135,37 +137,25 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
 
     The document's keys and value types are checked first.  Overrides with
     value None are ignored, so CLI flags can be passed through unconditionally.
+    Only keys that the document or an override sets are passed on; every
+    default lives on ExperimentConfig or SplitConfig.  The split is seeded by
+    `[split] seed` when the document sets it, else by the effective `seed`.
     """
     _check_keys(doc)
     dataset = doc.get("dataset", {})
-    split_doc = doc.get("split", {})
-    bias_doc = doc.get("bias", {})
-    kwargs = dict(
-        task=doc.get("task", "classification"),
-        data_path=dataset.get("path"),
-        schema=_schema_from_dict(dataset) if "label" in dataset else None,
-        split=SplitConfig(
-            train=float(split_doc.get("train", 0.8)),
-            val=float(split_doc.get("val", 0.1)),
-            test=float(split_doc.get("test", 0.1)),
-            seed=split_doc.get("seed", doc.get("seed", 0)),
-            folds=split_doc.get("folds", 1),
-        ),
-        bias_kind=bias_doc.get("kind", "classification"),
-        bias_halfwidth=float(bias_doc.get("halfwidth", 0.0)),
-        bias_file=bias_doc.get("file"),
-        targeting=_targeting_from_dict(doc["targeting"]) if "targeting" in doc else None,
-        budgets=tuple(doc.get("budgets", ("1%",))),
-        epsilon=float(doc["epsilon"]) if "epsilon" in doc else None,
-        lambda_grid=tuple(doc.get("lambda_grid", (0.0,))),
-        accuracy_tolerance=float(doc.get("accuracy_tolerance", 0.0)),
-        reference_budget=doc.get("reference_budget"),
-        seed=doc.get("seed", 0),
-        out_dir=doc.get("out_dir", "out"),
-    )
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
+    # top-level scalars are named as ExperimentConfig's fields; [bias] keys get a prefix
+    kwargs = {key: value for key, value in doc.items() if key not in _KEYS}
+    if "path" in dataset:
+        kwargs["data_path"] = dataset["path"]
+    if "label" in dataset:
+        kwargs["schema"] = _schema_from_dict(dataset)
+    kwargs.update({f"bias_{key}": value for key, value in doc.get("bias", {}).items()})
+    if "targeting" in doc:
+        kwargs["targeting"] = _targeting_from_dict(doc["targeting"])
+    kwargs.update({key: value for key, value in overrides.items() if value is not None})
+    if "split" not in kwargs:
+        seed = {"seed": kwargs["seed"]} if "seed" in kwargs else {}
+        kwargs["split"] = SplitConfig(**{**seed, **doc.get("split", {})})
     return ExperimentConfig(**kwargs)
 
 

@@ -8,9 +8,10 @@ report is reproducible bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,22 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _exact_verdicts(influence, train_y, X_test, spec, decision) -> np.ndarray:
-    """Exact verdicts on the rows of X_test: one kernel call over blocks of X_test . C."""
-    return decision.keeps(*ranges(influence.values, train_y, spec, X_test))
+def _verdicts(method, fitted, train_y, X, spec, decision) -> np.ndarray:
+    """Per-row verdicts on the rows of X from one fit `(theta, influence)`.
+
+    exact: one range-kernel call over blocks of X . C; approx: the coefficient
+    hull's interval dot products.
+    """
+    theta, influence = fitted
+    if method == "exact":
+        return decision.keeps(*ranges(influence.values, train_y, spec, X))
+    if method == "approx":
+        return decide_approx_rows(model_hull(influence, train_y, spec), theta, X, decision)
+    raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
+
+
+def _fraction(verdicts: np.ndarray) -> float:
+    return float(verdicts.mean()) if verdicts.size else float("nan")
 
 
 def robustness_rate(
@@ -66,16 +80,8 @@ def robustness_rate(
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
     decision = Decision.for_task(task, epsilon)
-    theta, influence = fit(train, lam)
-    if method == "exact":
-        verdicts = _exact_verdicts(influence, train.y, X_test, spec, decision)
-    elif method == "approx":
-        hull = model_hull(influence, train.y, spec)
-        verdicts = decide_approx_rows(hull, theta, X_test, decision)
-    else:
-        raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
-    fraction = float(verdicts.mean()) if verdicts.size else float("nan")
-    return CertifiedRate(fraction, verdicts)
+    verdicts = _verdicts(method, fit(train, lam), train.y, X_test, spec, decision)
+    return CertifiedRate(_fraction(verdicts), verdicts)
 
 
 def _accuracy(theta: ModelCoefficients, X: np.ndarray, y: np.ndarray, task: str) -> float:
@@ -92,6 +98,8 @@ class SweepResult:
     accuracies: dict
     admissible: tuple
     certified_rates: dict  # admissible lambdas only, at the reference budget
+    # (theta, influence) at chosen_lam, reused to certify the test split
+    chosen_fit: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def lambda_sweep(
@@ -109,14 +117,14 @@ def lambda_sweep(
     A value is admissible when its validation accuracy is within
     `tolerance_pct` percentage points of the best over the grid (for
     regression the tolerance applies relative to the best negative MSE).
-    Ties in certified rate resolve toward the larger ridge strength.
+    Ties in certified rate resolve toward the larger ridge strength.  Each
+    grid value is fitted once; both scores use that fit.
     """
     grid = tuple(float(l) for l in lambda_grid)
     if not grid:
         raise EmptyGrid("lambda grid is empty")
-    if val.n == 0:
-        raise TooFewRows("lambda sweep needs a nonempty validation split")
-    accuracies = {lam: _accuracy(fit(train, lam)[0], val.X, val.y, task) for lam in grid}
+    fits = {lam: fit(train, lam) for lam in grid}
+    accuracies = {lam: _accuracy(fits[lam][0], val.X, val.y, task) for lam in grid}
     best = max(accuracies.values())
     if task == "classification":
         floor = best - tolerance_pct / 100.0
@@ -124,15 +132,16 @@ def lambda_sweep(
         floor = best - tolerance_pct / 100.0 * max(abs(best), 1e-12)
     admissible = tuple(lam for lam in grid if accuracies[lam] >= floor)
     spec = BiasSpec(delta, reference_budget)
+    decision = Decision.for_task(task, epsilon)
     rates = {
-        lam: robustness_rate(train, val.X, task, spec, epsilon, lam, "exact").fraction
+        lam: _fraction(_verdicts("exact", fits[lam], train.y, val.X, spec, decision))
         for lam in admissible
     }
     chosen = None
     for lam in sorted(admissible):
         if chosen is None or rates[lam] >= rates[chosen]:
             chosen = lam
-    return SweepResult(chosen, accuracies, admissible, rates)
+    return SweepResult(chosen, accuracies, admissible, rates, fits[chosen])
 
 
 def group_rates(verdicts: np.ndarray, groups) -> dict:
@@ -207,7 +216,7 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
             train, val, config.task, delta, ref, config.epsilon,
             config.lambda_grid, config.accuracy_tolerance,
         )
-        lam = sweep.chosen_lam
+        lam, fitted = sweep.chosen_lam, sweep.chosen_fit
         sweep_info = {
             "reference_budget": ref,
             "accuracies": {str(l): sweep.accuracies[l] for l in config.lambda_grid},
@@ -216,29 +225,20 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
         }
     else:
         lam = config.lambda_grid[0]
+        fitted = fit(train, lam)
 
-    theta, influence = fit(train, lam)
-    accuracy = _accuracy(theta, val.X, val.y, config.task) if val is not None else None
+    accuracy = _accuracy(fitted[0], val.X, val.y, config.task) if val is not None else None
     rates: dict = {m: {} for m in methods}
     verdicts: dict = {m: {} for m in methods}
     fold_groups: dict = {m: {} for m in methods}
     for entry in config.budgets:
         label = str(entry)
         spec = BiasSpec(delta, resolve_budget(entry, train.n))
-        if "exact" in methods:
-            start = time.perf_counter()
-            v = _exact_verdicts(influence, train.y, test.X, spec, decision)
-            timings["exact"] = timings.get("exact", 0.0) + time.perf_counter() - start
-            verdicts["exact"][label] = v
-        if "approx" in methods:
-            start = time.perf_counter()
-            hull = model_hull(influence, train.y, spec)
-            v = decide_approx_rows(hull, theta, test.X, decision)
-            timings["approx"] = timings.get("approx", 0.0) + time.perf_counter() - start
-            verdicts["approx"][label] = v
         for m in methods:
-            v = verdicts[m][label]
-            rates[m][label] = float(v.mean()) if v.size else float("nan")
+            start = time.perf_counter()
+            v = verdicts[m][label] = _verdicts(m, fitted, train.y, test.X, spec, decision)
+            timings[m] = timings.get(m, 0.0) + time.perf_counter() - start
+            rates[m][label] = _fraction(v)
             if test.group_labels is not None and v.size:
                 fold_groups[m][label] = group_rates(v, test.group_labels)
         if "exact" in methods and "approx" in methods:
@@ -308,74 +308,54 @@ def write_report(report: RobustnessReport, out_dir: str | Path) -> Path:
 
 
 def render_csv_tables(payload: dict, out_dir: str | Path) -> list[Path]:
-    """Re-render a report dict into rates/groups/verdicts/sweep CSV tables."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Re-render a report dict into rates/groups/verdicts/sweep CSV tables.
 
+    Every table is rendered in memory before any file is written, so a
+    malformed payload raises (KeyError, TypeError, ...) and writes nothing.
+    The groups and sweep tables are written only when they have rows.
+    """
     methods = sorted(payload["summary"].keys())
-    rates_path = out / "rates.csv"
-    with open(rates_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["budget"]
-        for m in methods:
-            header += [f"{m}_mean", f"{m}_min", f"{m}_max"]
-        writer.writerow(header)
-        for label in payload["budgets"]:
-            row = [label]
-            for m in methods:
-                stats = payload["summary"][m][label]
-                row += [stats["mean"], stats["min"], stats["max"]]
-            writer.writerow(row)
-    written.append(rates_path)
-
-    group_rows = []
+    stats = ("mean", "min", "max")
+    rates = [[label, *(payload["summary"][m][label][s] for m in methods for s in stats)]
+             for label in payload["budgets"]]
+    groups, sweep = [], []
     for fold in payload["per_fold"]:
         for m, by_budget in fold["group_rates"].items():
             for label, by_group in by_budget.items():
-                for group, rate in sorted(by_group.items()):
-                    group_rows.append([fold["fold"], m, label, group, rate])
-    if group_rows:
-        groups_path = out / "groups.csv"
-        with open(groups_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["fold", "method", "budget", "group", "rate"])
-            writer.writerows(group_rows)
-        written.append(groups_path)
-
-    verdicts_path = out / "verdicts.csv"
-    with open(verdicts_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fold", "method", "budget", "row", "robust"])
-        for fold in payload["per_fold"]:
-            for m, by_budget in fold["verdicts"].items():
-                for label, flags in by_budget.items():
-                    for row_index, flag in enumerate(flags):
-                        writer.writerow([fold["fold"], m, label, row_index, int(flag)])
-    written.append(verdicts_path)
-
-    sweep_rows = []
-    for fold in payload["per_fold"]:
+                groups += ([fold["fold"], m, label, group, rate]
+                           for group, rate in sorted(by_group.items()))
         info = fold.get("sweep")
         if info:
-            for lam_label, acc in info["accuracies"].items():
-                sweep_rows.append(
-                    [
-                        fold["fold"],
-                        lam_label,
-                        acc,
-                        int(float(lam_label) in set(info["admissible"])),
-                        info["rates"].get(lam_label, ""),
-                    ]
-                )
-    if sweep_rows:
-        sweep_path = out / "sweep.csv"
-        with open(sweep_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["fold", "lambda", "accuracy", "admissible", "val_rate"])
-            writer.writerows(sweep_rows)
-        written.append(sweep_path)
-    return written
+            admissible = set(info["admissible"])
+            sweep += ([fold["fold"], lam_label, acc, int(float(lam_label) in admissible),
+                       info["rates"].get(lam_label, "")]
+                      for lam_label, acc in info["accuracies"].items())
+    verdicts = (
+        [fold["fold"], m, label, row_index, int(flag)]
+        for fold in payload["per_fold"]
+        for m, by_budget in fold["verdicts"].items()
+        for label, flags in by_budget.items()
+        for row_index, flag in enumerate(flags)
+    )
+    tables = [
+        ("rates.csv", ["budget", *(f"{m}_{s}" for m in methods for s in stats)], rates),
+        ("groups.csv", ["fold", "method", "budget", "group", "rate"], groups) if groups else None,
+        ("verdicts.csv", ["fold", "method", "budget", "row", "robust"], verdicts),
+        ("sweep.csv", ["fold", "lambda", "accuracy", "admissible", "val_rate"], sweep)
+        if sweep else None,
+    ]
+    out = Path(out_dir)
+    texts = {}
+    for name, header, rows in filter(None, tables):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(rows)
+        texts[out / name] = buffer.getvalue()
+    out.mkdir(parents=True, exist_ok=True)
+    for path, text in texts.items():
+        path.write_text(text, newline="")
+    return list(texts)
 
 
 def timing_report(
@@ -392,10 +372,11 @@ def timing_report(
     coefficient hull.
     """
     decision = Decision.for_task(task, epsilon)
-    theta, influence = fit(train, lam)
+    fitted = fit(train, lam)
+    theta, influence = fitted
 
     start = time.perf_counter()
-    exact = _exact_verdicts(influence, train.y, X_test, spec, decision)
+    exact = _verdicts("exact", fitted, train.y, X_test, spec, decision)
     exact_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -410,8 +391,8 @@ def timing_report(
         "exact_seconds": exact_seconds,
         "approx_seconds": approx_seconds,
         "hull_seconds": hull_seconds,
-        "exact_rate": float(exact.mean()) if exact.size else float("nan"),
-        "approx_rate": float(approx.mean()) if approx.size else float("nan"),
+        "exact_rate": _fraction(exact),
+        "approx_rate": _fraction(approx),
     }
 
 

@@ -278,3 +278,16 @@ class TestHullSerialization:
         payload["intervals"][0] = [float("-inf"), 1.0]
         with pytest.raises(ParseError, match="finite"):
             hull_from_dict(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("budget", -3),
+        ("budget", 2.7),
+        ("budget", True),
+        ("fingerprint", ""),
+        ("base_coefficients", [5.0, 0.0, 0.0]),  # 5 lies outside interval 0, [-2, 4]
+    ])
+    def test_rejects_fields_model_hull_never_writes(self, key, value):
+        payload = hull_to_dict(_hull3())
+        payload[key] = value
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            hull_from_dict(payload)

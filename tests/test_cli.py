@@ -66,6 +66,22 @@ class TestCertify:
         assert (out / "rates.csv").exists()
         assert (out / "verdicts.csv").exists()
 
+    def test_seed_flag_seeds_the_split(self, workspace):
+        # the config sets seed = 5 and no [split] seed
+        tmp_path, config, out = workspace
+        reseeded = tmp_path / "reseeded.txt"
+        reseeded.write_text(config.read_text().replace("seed = 5", "seed = 99"))
+        reports = []
+        for path, flags in ((config, ["--seed", "99"]), (reseeded, []), (config, [])):
+            run_out = tmp_path / f"run{len(reports)}"
+            assert main(["certify", "--config", str(path), "--out-dir", str(run_out),
+                         *flags]) == 0
+            payload = json.loads((run_out / "report.json").read_text())
+            payload.pop("timings")
+            reports.append(payload)
+        assert reports[0] == reports[1]
+        assert reports[0]["per_fold"] != reports[2]["per_fold"]
+
     def test_single_method(self, workspace):
         tmp_path, config, out = workspace
         code = main(["certify", "--method", "exact", "--config", str(config),
@@ -190,6 +206,9 @@ class TestErrors:
         '{"budgets": ["1"], "per_fold": []}',
         '{"summary": {}, "per_fold": []}',
         '{"summary": {}, "budgets": ["1"]}',
+        '{"summary": {"exact": {}}, "budgets": ["1%"], "per_fold": []}',
+        '{"summary": {}, "budgets": [], "per_fold": [{}]}',
+        '{"summary": [], "budgets": 3, "per_fold": 5}',
     ])
     def test_unreadable_report(self, tmp_path, content, capsys):
         report = tmp_path / "report.json"

@@ -109,6 +109,24 @@ class TestExperimentConfig:
         config = config_from_dict(parse_config_text(SAMPLE), seed=None)
         assert config.seed == 7
 
+    def test_empty_document_takes_the_declared_defaults(self):
+        assert config_from_dict({}) == ExperimentConfig()
+
+    def test_seed_override_seeds_the_split(self):
+        doc = parse_config_text(SAMPLE)  # seed = 7, no [split] seed
+        assert config_from_dict(doc).split.seed == 7
+        assert config_from_dict(doc, seed=99).split.seed == 99
+
+    def test_explicit_split_seed_kept(self):
+        doc = parse_config_text(SAMPLE)
+        doc["split"]["seed"] = 4
+        config = config_from_dict(doc, seed=99)
+        assert (config.seed, config.split.seed) == (99, 4)
+
+    def test_integer_epsilon_coerced(self):
+        config = config_from_dict({"task": "regression", "epsilon": 2})
+        assert config.epsilon == 2.0 and isinstance(config.epsilon, float)
+
     def test_regression_requires_epsilon(self):
         with pytest.raises(ValueError):
             ExperimentConfig(task="regression", epsilon=None)

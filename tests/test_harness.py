@@ -1,5 +1,6 @@
 """Tests for the experiment harness: rates, sweeps, groups, attacks, timing."""
 
+import dataclasses
 import json
 import math
 
@@ -94,7 +95,7 @@ class TestBlockVerdicts:
         hull = model_hull(influence, ds.y, spec)
         # three-row blocks: 7 rows make blocks of 3, 3 and 1
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
-        exact_block = harness._exact_verdicts(influence, ds.y, X_test, spec, decision)
+        exact_block = harness._verdicts("exact", (theta, influence), ds.y, X_test, spec, decision)
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.m)
         approx_block = harness.decide_approx_rows(hull, theta, X_test, decision)
         exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
@@ -282,6 +283,21 @@ class TestRunExperiment:
         a.pop("timings")
         b.pop("timings")
         assert a == b
+
+    def test_one_fit_per_lambda_per_fold(self, tmp_path, monkeypatch):
+        ds = synth_classification(200, 3, seed=12)
+        config = self._config(tmp_path, ds, folds=2, lambda_grid=(0.0, 0.1, 1.0))
+        config = dataclasses.replace(config, accuracy_tolerance=100.0)  # admits every value
+        real_fit, lams = harness.fit, []
+
+        def counting_fit(train, lam):
+            lams.append(lam)
+            return real_fit(train, lam)
+
+        monkeypatch.setattr(harness, "fit", counting_fit)
+        report = run_experiment(config)
+        assert [len(f["sweep"]["admissible"]) for f in report.per_fold] == [3, 3]
+        assert sorted(lams) == [0.0, 0.0, 0.1, 0.1, 1.0, 1.0]
 
     def test_summary_contains_both_methods(self, tmp_path):
         ds = synth_classification(200, 3, seed=13)
