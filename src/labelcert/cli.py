@@ -12,18 +12,20 @@ import sys
 from pathlib import Path
 
 from .approx import model_hull, save_hull
-from .config import build_delta, build_spec, load_experiment_config
-from .data import split, synth_classification, synth_demographic, write_csv
+from .bias import BiasSpec
+from .config import load_experiment_config, resolve_budget
+from .data import synth_classification, synth_demographic, write_csv
 from .errors import LabelCertError
 from .exact import Decision, min_flips_from_influence
 from .harness import (
     export_attack,
+    fold_fits,
     load_dataset,
     render_csv_tables,
     run_experiment,
     write_report,
 )
-from .linalg import fit, influence_vector
+from .linalg import influence_vector
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,15 +38,17 @@ def _load_config(args, **extra):
     overrides = dict(seed=args.seed, out_dir=args.out_dir)
     overrides.update(extra)
     config = load_experiment_config(args.config, **overrides)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LabelCertError(f"--out-dir {config.out_dir} is not a usable directory: {exc}")
     return config
 
 
-def _load_splits(args):
-    """Config plus the train and test splits of its dataset, for single-split commands."""
-    config = _load_config(args)
-    train, _, test = split(load_dataset(config), config.split)
-    return config, train, test
+def _fold0(args, **extra):
+    """Config plus fold 0 of `fold_fits`: the rows, Δ, λ and fit `certify` reports first."""
+    config = _load_config(args, **extra)
+    return config, next(fold_fits(load_dataset(config), config))
 
 
 def _test_row(index: int, test) -> int:
@@ -102,10 +106,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_min_flips(args) -> int:
-    config, train, test = _load_splits(args)
-    delta = build_delta(config, train)
-    lam = config.lambda_grid[0]
-    _, influence = fit(train, lam)
+    config, (train, _, test, delta, _, (_, influence), _) = _fold0(args)
     decision = Decision.for_task(config.task, config.epsilon)
     rows = [_test_row(args.index, test)] if args.index is not None else range(test.n)
     out_path = Path(config.out_dir) / "min_flips.csv"
@@ -123,11 +124,11 @@ def cmd_min_flips(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    config, train, _ = _load_splits(args)
-    spec = build_spec(config, train, args.budget if args.budget is not None
-                      else config.budgets[0])
-    lam = args.lam if args.lam is not None else config.lambda_grid[0]
-    _, influence = fit(train, lam)
+    # --lam replaces the grid; --budget stays local so the sweep's reference budget holds
+    config, (train, _, _, delta, _, (_, influence), _) = _fold0(
+        args, lambda_grid=None if args.lam is None else [args.lam])
+    budget = args.budget if args.budget is not None else config.budgets[0]
+    spec = BiasSpec(delta, resolve_budget(budget, train.n))
     hull = model_hull(influence, train.y, spec)
     out_path = Path(config.out_dir) / "hull.json"
     save_hull(hull, out_path)
@@ -136,10 +137,10 @@ def cmd_hull(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config, train, test = _load_splits(args)
-    delta = build_delta(config, train)
+    config, (train, _, test, delta, lam, _, _) = _fold0(args)
+    if config.task != "classification":
+        raise LabelCertError(f"attack needs a classification task, got {config.task!r}")
     index = _test_row(args.index, test)
-    lam = config.lambda_grid[0]
     if args.flips == "minimal":
         flips = "minimal"
     else:

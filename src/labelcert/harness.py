@@ -185,48 +185,52 @@ class RobustnessReport:
         }
 
 
-def _fold_splits(dataset: Dataset, config: ExperimentConfig):
-    """Yield (train, val, test) triples for the configured split or fold plan.
+def fold_fits(dataset: Dataset, config: ExperimentConfig):
+    """Yield `(train, val, test, delta, lam, (theta, influence), sweep_record)` per fold.
 
-    In fold mode the validation part is carved out of each fold's training
-    rows at the configured train:val ratio; it is None when too few rows
-    remain.
+    In fold mode `val` is carved out of each fold's training rows at the
+    train:val ratio (None when too few rows remain).  `lam` is the grid's one
+    value or the sweep's choice; `sweep_record` is None without a sweep.
+    Lazy: `next(...)` splits and fits fold 0 only.
     """
     sc = config.split
-    if sc.folds <= 1:
-        yield split(dataset, sc)
-        return
-    val_share = sc.val / (sc.train + sc.val)
-    for i, (train_full, test) in enumerate(kfold(dataset, sc)):
-        n_val = int(train_full.n * val_share)
-        perm = np.random.default_rng((sc.seed, i)).permutation(train_full.n)
-        val = train_full.subset(perm[:n_val]) if n_val else None
-        yield train_full.subset(perm[n_val:]), val, test
+    plan = [split(dataset, sc)] if sc.folds <= 1 else kfold(dataset, sc)
+    for i, part in enumerate(plan):
+        if sc.folds <= 1:
+            train, val, test = part
+        else:
+            train_full, test = part
+            n_val = int(train_full.n * (sc.val / (sc.train + sc.val)))
+            perm = np.random.default_rng((sc.seed, i)).permutation(train_full.n)
+            val = train_full.subset(perm[:n_val]) if n_val else None
+            train = train_full.subset(perm[n_val:])
+        delta = build_delta(config, train)
+        sweep_record = None
+        if len(config.lambda_grid) > 1:
+            if val is None:
+                raise TooFewRows("lambda sweep needs a nonempty validation split")
+            ref = resolve_budget(config.reference_budget, train.n)
+            sweep = lambda_sweep(
+                train, val, config.task, delta, ref, config.epsilon,
+                config.lambda_grid, config.accuracy_tolerance,
+            )
+            lam, fitted = sweep.chosen_lam, sweep.chosen_fit
+            sweep_record = {
+                "reference_budget": ref,
+                "accuracies": {str(l): sweep.accuracies[l] for l in config.lambda_grid},
+                "admissible": [float(l) for l in sweep.admissible],
+                "rates": {str(l): sweep.certified_rates[l] for l in sweep.admissible},
+            }
+        else:
+            lam = config.lambda_grid[0]
+            fitted = fit(train, lam)
+        yield train, val, test, delta, lam, fitted, sweep_record
 
 
-def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
-    delta = build_delta(config, train)
+def _run_fold(train, val, test, delta, lam, fitted, sweep_record,
+              config: ExperimentConfig, methods, timings):
+    """Certify one fitted fold's test rows at every budget of the grid."""
     decision = Decision.for_task(config.task, config.epsilon)
-    sweep_info = None
-    if len(config.lambda_grid) > 1:
-        if val is None:
-            raise TooFewRows("lambda sweep needs a nonempty validation split")
-        ref = resolve_budget(config.reference_budget, train.n)
-        sweep = lambda_sweep(
-            train, val, config.task, delta, ref, config.epsilon,
-            config.lambda_grid, config.accuracy_tolerance,
-        )
-        lam, fitted = sweep.chosen_lam, sweep.chosen_fit
-        sweep_info = {
-            "reference_budget": ref,
-            "accuracies": {str(l): sweep.accuracies[l] for l in config.lambda_grid},
-            "admissible": [float(l) for l in sweep.admissible],
-            "rates": {str(l): sweep.certified_rates[l] for l in sweep.admissible},
-        }
-    else:
-        lam = config.lambda_grid[0]
-        fitted = fit(train, lam)
-
     accuracy = _accuracy(fitted[0], val.X, val.y, config.task) if val is not None else None
     rates: dict = {m: {} for m in methods}
     verdicts: dict = {m: {} for m in methods}
@@ -255,7 +259,7 @@ def _run_fold(train, val, test, config: ExperimentConfig, methods, timings):
         "rates": rates,
         "group_rates": fold_groups,
         "verdicts": {m: {b: v.tolist() for b, v in verdicts[m].items()} for m in methods},
-        "sweep": sweep_info,
+        "sweep": sweep_record,
     }
 
 
@@ -269,8 +273,8 @@ def run_experiment(
         dataset = load_dataset(config)
     timings: dict = {}
     per_fold = []
-    for fold_index, (train, val, test) in enumerate(_fold_splits(dataset, config)):
-        result = _run_fold(train, val, test, config, methods, timings)
+    for fold_index, fold in enumerate(fold_fits(dataset, config)):
+        result = _run_fold(*fold, config, methods, timings)
         result["fold"] = fold_index
         per_fold.append(result)
 

@@ -44,6 +44,42 @@ def workspace(tmp_path):
     return tmp_path, config, out
 
 
+# On the workspace data this grid's sweep chooses 100.0, not the grid's first value.
+SWEPT = (('budgets = ["0.5%", "2%"]', 'budgets = ["1%", "2%", "5%"]'),
+         ("lambda_grid = [0.0, 0.1]", "lambda_grid = [0.0, 100.0]"),
+         ("accuracy_tolerance = 0.0", "accuracy_tolerance = 5.0"))
+
+
+def _rewrite(config, tail=""):
+    text = config.read_text()
+    for old, new in SWEPT:
+        assert old in text
+        text = text.replace(old, new)
+    config.write_text(text + tail, encoding="utf-8")
+
+
+def _min_flips_rows(out):
+    """(row, k) per line of min_flips.csv; k is None when no budget breaks the row."""
+    lines = (out / "min_flips.csv").read_text().splitlines()[1:]
+    return [(int(row), int(flips) if flips else None)
+            for row, flips, _ in (line.split(",") for line in lines)]
+
+
+def _certify_fold0(config, out):
+    assert main(["certify", "--method", "exact", "--config", str(config),
+                 "--out-dir", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["per_fold"][0]
+
+
+def _assert_agrees_with_fold(rows, fold):
+    """Each k breaks at every budget >= k and holds below it, as certify says."""
+    for budget, flags in fold["verdicts"]["exact"].items():
+        assert len(rows) == len(flags)
+        count = fold["budget_counts"][budget]
+        for row, flips in rows:
+            assert flags[row] == (flips is None or count < flips), (budget, row, flips)
+
+
 class TestSynth:
     def test_demographic_generator(self, tmp_path):
         out = tmp_path / "d"
@@ -149,6 +185,41 @@ class TestMinFlips:
             else:
                 assert not robust(int(flips)) and robust(int(flips) - 1), row
 
+    def test_agrees_with_certify_at_the_swept_lambda(self, workspace):
+        tmp_path, config, out = workspace
+        _rewrite(config)
+        fold = _certify_fold0(config, out)
+        assert fold["chosen_lambda"] == 100.0
+        assert main(["min-flips", "--config", str(config), "--out-dir", str(out)]) == 0
+        rows = _min_flips_rows(out)
+        _assert_agrees_with_fold(rows, fold)
+        assert any(flips is not None for _, flips in rows)
+
+        # breaks at k and holds at k - 1 under the fit at the swept lambda
+        train, _, test = split(with_bias_column(synth_classification(200, 3, seed=5)),
+                               SplitConfig(seed=5))
+        _, influence = fit(train, fold["chosen_lambda"])
+        delta = classification_delta(train.y)
+        for row, flips in rows:
+            z = influence_vector(test.X[row], influence)
+
+            def robust(k):
+                return classify_from_influence(z, train.y, BiasSpec(delta, k)).robust
+
+            if flips is None:
+                assert robust(train.n), row
+            else:
+                assert not robust(flips) and robust(flips - 1), row
+
+    def test_writes_fold_zero_rows(self, workspace):
+        tmp_path, config, out = workspace
+        _rewrite(config, tail="folds = 2\n")  # appended to the [split] table
+        fold = _certify_fold0(config, out)
+        assert main(["min-flips", "--config", str(config), "--out-dir", str(out)]) == 0
+        rows = _min_flips_rows(out)
+        assert [row for row, _ in rows] == list(range(100))  # half of the 200 rows
+        _assert_agrees_with_fold(rows, fold)
+
 
 class TestHull:
     def test_export_round_trip(self, workspace):
@@ -161,6 +232,20 @@ class TestHull:
         hull = load_hull(out / "hull.json")
         assert hull.m == 4  # three features plus the bias column
         assert (hull.lower <= hull.upper).all()
+
+    def test_lam_flag_overrides_the_grid(self, workspace):
+        tmp_path, config, out = workspace
+        assert main(["hull", "--config", str(config), "--lam", "0.5",
+                     "--out-dir", str(out)]) == 0
+        assert json.loads((out / "hull.json").read_text())["lam"] == 0.5
+
+    def test_default_lam_is_the_swept_one(self, workspace):
+        tmp_path, config, out = workspace
+        _rewrite(config)
+        fold = _certify_fold0(config, out)
+        assert main(["hull", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "hull.json").read_text())["lam"] == fold["chosen_lambda"]
+        assert fold["chosen_lambda"] != 0.0  # not the grid's first value
 
 
 class TestAttack:
@@ -184,6 +269,23 @@ class TestAttack:
         summary = json.loads((out / "attack_summary_row1.json").read_text())
         assert summary["changed_count"] == 4
 
+    def test_regression_config_is_rejected(self, tmp_path, capsys):
+        # the attack moves the class threshold, which a regression band is not
+        write_csv(synth_classification(400, 3, seed=1), tmp_path / "data.csv")
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f'task = "regression"\nepsilon = 0.05\nbudgets = [5]\nlambda_grid = [0.1]\n'
+            f'[bias]\nkind = "uniform"\nhalfwidth = 0.5\n'
+            f'[dataset]\npath = "{tmp_path / "data.csv"}"\nlabel = "label"\n'
+            f'features = ["f1", "f2", "f3"]\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["attack", "--config", str(config), "--index", "0",
+                     "--flips", "minimal", "--out-dir", str(out)])
+        assert code == 2
+        assert "classification" in capsys.readouterr().err
+        assert not any(path.is_file() for path in out.rglob("*"))
 
 
 class TestReport:
@@ -235,6 +337,14 @@ class TestErrors:
         assert code == 2
         assert "--index" in capsys.readouterr().err
         assert set(out.iterdir()) == before  # no file written
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_text("not a directory", encoding="utf-8")
+        code = main(["synth", "--kind", "classification", "--n", "50", "--out-dir", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out-dir" in err
 
     def test_missing_config_file_returns_error_code(self, tmp_path):
         missing = tmp_path / "missing.toml"
