@@ -78,8 +78,8 @@ def cmd_certify(args) -> int:
     methods = ("exact", "approx") if args.method == "both" else (args.method,)
     report = run_experiment(config, methods=methods)
     json_path = write_report(report, config.out_dir)
-    for method, by_budget in sorted(report.summary.items()):
-        for label in report.budgets:
+    for method, by_budget in sorted(report["summary"].items()):
+        for label in report["budgets"]:
             print(f"{method} budget={label} rate={by_budget[label]['mean']:.4f}")
     print(json_path)
     return 0
@@ -89,7 +89,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     report = run_experiment(config)
     json_path = write_report(report, config.out_dir)
-    for fold in report.per_fold:
+    for fold in report["per_fold"]:
         info = fold.get("sweep")
         chosen = fold["chosen_lambda"]
         if info:
@@ -137,7 +137,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config, (train, _, test, delta, lam, _, _) = _fold0(args)
+    config, (train, _, test, delta, _, (_, influence), _) = _fold0(args)
     if config.task != "classification":
         raise LabelCertError(f"attack needs a classification task, got {config.task!r}")
     index = _test_row(args.index, test)
@@ -150,7 +150,7 @@ def cmd_attack(args) -> int:
             raise LabelCertError(f"--flips must be 'minimal' or a count, got {args.flips!r}")
     out = Path(config.out_dir)
     labels_path = out / f"attack_labels_row{index}.csv"
-    summary = export_attack(test.X[index], train, delta, lam, flips, labels_path)
+    summary = export_attack(test.X[index], train, delta, influence, flips, labels_path)
     summary_path = out / f"attack_summary_row{index}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(summary_path)

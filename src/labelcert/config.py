@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bias import (
-    BiasSpec,
     PerturbationVector,
     TargetPredicate,
     apply_targeting,
@@ -216,7 +215,3 @@ def build_delta(config: ExperimentConfig, train: Dataset) -> PerturbationVector:
     if config.targeting is not None:
         delta = apply_targeting(delta, train, config.targeting)
     return delta
-
-
-def build_spec(config: ExperimentConfig, train: Dataset, budget_entry) -> BiasSpec:
-    return BiasSpec(build_delta(config, train), resolve_budget(budget_entry, train.n))

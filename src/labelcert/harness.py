@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     TooFewRows,
 )
 from .exact import Decision, fixed_attack, min_flips_from_influence, ranges
-from .linalg import Dataset, ModelCoefficients, fit, influence_vector, predict
+from .linalg import Dataset, InfluenceMatrix, ModelCoefficients, fit, influence_vector, predict
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -92,16 +92,6 @@ def _accuracy(theta: ModelCoefficients, X: np.ndarray, y: np.ndarray, task: str)
     return -float(np.mean((preds - y) ** 2))
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    chosen_lam: float
-    accuracies: dict
-    admissible: tuple
-    certified_rates: dict  # admissible lambdas only, at the reference budget
-    # (theta, influence) at chosen_lam, reused to certify the test split
-    chosen_fit: tuple | None = field(default=None, compare=False, repr=False)
-
-
 def lambda_sweep(
     train: Dataset,
     val: Dataset,
@@ -111,7 +101,7 @@ def lambda_sweep(
     epsilon: float | None,
     lambda_grid,
     tolerance_pct: float,
-) -> SweepResult:
+) -> tuple:
     """Pick the ridge strength: best certified rate among accuracy-admissible values.
 
     A value is admissible when its validation accuracy is within
@@ -119,10 +109,17 @@ def lambda_sweep(
     regression the tolerance applies relative to the best negative MSE).
     Ties in certified rate resolve toward the larger ridge strength.  Each
     grid value is fitted once; both scores use that fit.
+
+    Returns `(chosen_lam, chosen_fit, record)`: the chosen value, its
+    `(theta, influence)` fit, and the `sweep` entry of report.json, with
+    `accuracies` over the grid and the exact `rates` at the reference budget
+    over the `admissible` values, both keyed by `str(lam)`.
     """
     grid = tuple(float(l) for l in lambda_grid)
     if not grid:
         raise EmptyGrid("lambda grid is empty")
+    if not tolerance_pct >= 0:
+        raise ValueError(f"accuracy tolerance must be >= 0, got {tolerance_pct}")
     fits = {lam: fit(train, lam) for lam in grid}
     accuracies = {lam: _accuracy(fits[lam][0], val.X, val.y, task) for lam in grid}
     best = max(accuracies.values())
@@ -130,7 +127,7 @@ def lambda_sweep(
         floor = best - tolerance_pct / 100.0
     else:
         floor = best - tolerance_pct / 100.0 * max(abs(best), 1e-12)
-    admissible = tuple(lam for lam in grid if accuracies[lam] >= floor)
+    admissible = [lam for lam in grid if accuracies[lam] >= floor]
     spec = BiasSpec(delta, reference_budget)
     decision = Decision.for_task(task, epsilon)
     rates = {
@@ -141,7 +138,13 @@ def lambda_sweep(
     for lam in sorted(admissible):
         if chosen is None or rates[lam] >= rates[chosen]:
             chosen = lam
-    return SweepResult(chosen, accuracies, admissible, rates, fits[chosen])
+    record = {
+        "reference_budget": reference_budget,
+        "accuracies": {str(lam): accuracies[lam] for lam in grid},
+        "admissible": admissible,
+        "rates": {str(lam): rates[lam] for lam in admissible},
+    }
+    return chosen, fits[chosen], record
 
 
 def group_rates(verdicts: np.ndarray, groups) -> dict:
@@ -159,30 +162,6 @@ def group_rates(verdicts: np.ndarray, groups) -> dict:
         mask = np.array([x == g for x in groups])
         out[g] = float(verdicts[mask].mean())
     return out
-
-
-@dataclass(frozen=True)
-class RobustnessReport:
-    """Aggregated experiment output; `timings` is the only nondeterministic part."""
-
-    task: str
-    seed: int
-    folds: int
-    budgets: tuple
-    per_fold: tuple
-    summary: dict
-    timings: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "folds": self.folds,
-            "budgets": [str(b) for b in self.budgets],
-            "per_fold": list(self.per_fold),
-            "summary": self.summary,
-            "timings": self.timings,
-        }
 
 
 def fold_fits(dataset: Dataset, config: ExperimentConfig):
@@ -209,35 +188,28 @@ def fold_fits(dataset: Dataset, config: ExperimentConfig):
         if len(config.lambda_grid) > 1:
             if val is None:
                 raise TooFewRows("lambda sweep needs a nonempty validation split")
-            ref = resolve_budget(config.reference_budget, train.n)
-            sweep = lambda_sweep(
-                train, val, config.task, delta, ref, config.epsilon,
+            lam, fitted, sweep_record = lambda_sweep(
+                train, val, config.task, delta,
+                resolve_budget(config.reference_budget, train.n), config.epsilon,
                 config.lambda_grid, config.accuracy_tolerance,
             )
-            lam, fitted = sweep.chosen_lam, sweep.chosen_fit
-            sweep_record = {
-                "reference_budget": ref,
-                "accuracies": {str(l): sweep.accuracies[l] for l in config.lambda_grid},
-                "admissible": [float(l) for l in sweep.admissible],
-                "rates": {str(l): sweep.certified_rates[l] for l in sweep.admissible},
-            }
         else:
             lam = config.lambda_grid[0]
             fitted = fit(train, lam)
         yield train, val, test, delta, lam, fitted, sweep_record
 
 
-def _run_fold(train, val, test, delta, lam, fitted, sweep_record,
-              config: ExperimentConfig, methods, timings):
-    """Certify one fitted fold's test rows at every budget of the grid."""
+def _run_fold(fold_index, train, val, test, delta, lam, fitted, sweep_record,
+              config: ExperimentConfig, methods, timings) -> dict:
+    """Certify one fitted fold's test rows at every budget of the grid: its `per_fold` entry."""
     decision = Decision.for_task(config.task, config.epsilon)
     accuracy = _accuracy(fitted[0], val.X, val.y, config.task) if val is not None else None
     rates: dict = {m: {} for m in methods}
     verdicts: dict = {m: {} for m in methods}
     fold_groups: dict = {m: {} for m in methods}
-    for entry in config.budgets:
-        label = str(entry)
-        spec = BiasSpec(delta, resolve_budget(entry, train.n))
+    budget_counts = {str(e): resolve_budget(e, train.n) for e in config.budgets}
+    for label, count in budget_counts.items():
+        spec = BiasSpec(delta, count)
         for m in methods:
             start = time.perf_counter()
             v = verdicts[m][label] = _verdicts(m, fitted, train.y, test.X, spec, decision)
@@ -253,9 +225,10 @@ def _run_fold(train, val, test, delta, lam, fitted, sweep_record,
                     f"which exact finds non-robust, at budget {label}"
                 )
     return {
+        "fold": fold_index,
         "chosen_lambda": float(lam),
         "accuracy": accuracy,
-        "budget_counts": {str(e): resolve_budget(e, train.n) for e in config.budgets},
+        "budget_counts": budget_counts,
         "rates": rates,
         "group_rates": fold_groups,
         "verdicts": {m: {b: v.tolist() for b, v in verdicts[m].items()} for m in methods},
@@ -267,47 +240,48 @@ def run_experiment(
     config: ExperimentConfig,
     dataset: Dataset | None = None,
     methods=("exact", "approx"),
-) -> RobustnessReport:
-    """Full pipeline: split, choose the ridge strength, certify the grid, aggregate folds."""
+) -> dict:
+    """Full pipeline: split, choose the ridge strength, certify the grid, aggregate folds.
+
+    Returns the report.json document that `write_report` writes; `timings`
+    is its only nondeterministic part.
+    """
     if dataset is None:
         dataset = load_dataset(config)
     timings: dict = {}
     per_fold = []
     for fold_index, fold in enumerate(fold_fits(dataset, config)):
-        result = _run_fold(*fold, config, methods, timings)
-        result["fold"] = fold_index
-        per_fold.append(result)
+        per_fold.append(_run_fold(fold_index, *fold, config, methods, timings))
 
+    budgets = [str(b) for b in config.budgets]
     summary: dict = {}
     for m in methods:
         summary[m] = {}
-        for entry in config.budgets:
-            label = str(entry)
+        for label in budgets:
             values = [f["rates"][m][label] for f in per_fold]
             summary[m][label] = {
                 "mean": float(np.mean(values)),
                 "min": float(np.min(values)),
                 "max": float(np.max(values)),
             }
-    return RobustnessReport(
-        task=config.task,
-        seed=config.seed,
-        folds=config.split.folds,
-        budgets=tuple(str(b) for b in config.budgets),
-        per_fold=tuple(per_fold),
-        summary=summary,
-        timings=timings,
-    )
+    return {
+        "task": config.task,
+        "seed": config.seed,
+        "folds": config.split.folds,
+        "budgets": budgets,
+        "per_fold": per_fold,
+        "summary": summary,
+        "timings": timings,
+    }
 
 
-def write_report(report: RobustnessReport, out_dir: str | Path) -> Path:
-    """Persist report.json plus plot-ready CSV tables; returns the JSON path."""
+def write_report(report: dict, out_dir: str | Path) -> Path:
+    """Persist the report.json document plus plot-ready CSV tables; returns the JSON path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    render_csv_tables(payload, out)
+    json_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    render_csv_tables(report, out)
     return json_path
 
 
@@ -404,19 +378,20 @@ def export_attack(
     x: np.ndarray,
     dataset: Dataset,
     delta: PerturbationVector,
-    lam: float,
+    influence: InfluenceMatrix,
     flips,
     labels_path: str | Path,
 ) -> dict:
     """Write a poisoned label file that attacks the thresholded prediction of x.
 
-    `flips` is either "minimal" (smallest attack that flips the class, via
-    the greedy search) or a fixed count k: the first k labels of the greedy
-    order toward the other class, so the file differs from the original
+    `influence` is the model's influence matrix on `dataset`; the attack is
+    checked by refitting at its ridge strength.  `flips` is either "minimal"
+    (the smallest k that flips the class, from the min-flips search) or a
+    fixed count k.  Either way the file moves the first k labels of the
+    greedy order toward the other class, so it differs from the original
     labels in exactly k rows.
     """
     y = dataset.y
-    _, influence = fit(dataset, lam)
     z = influence_vector(x, influence)
     base = float(z @ y)
 
@@ -426,22 +401,18 @@ def export_attack(
             raise NoAttackExists(
                 "no reachable label perturbation changes this prediction"
             )
-        y_tilde = np.array(result.witness)
-        mode, requested = "minimal", result.flips
+        mode, side, k = "minimal", result.side, result.flips
     else:
         k = int(flips)
         if not 0 <= k <= dataset.n:
             raise ValueError(f"flip count must be in [0, {dataset.n}], got {flips!r}")
         # under the threshold only the end toward the other class can break
-        side = "lower" if Decision.label(base) else "upper"
-        y_tilde = fixed_attack(z, y, delta, side, k)
-        mode, requested = "fixed", k
-
+        mode, side = "fixed", "lower" if Decision.label(base) else "upper"
+    y_tilde = fixed_attack(z, y, delta, side, k)
     changed = np.flatnonzero(y_tilde != y)
-    spec = BiasSpec(delta, len(changed) if flips == "minimal" else int(flips))
-    if not contains(spec, y, y_tilde):
+    if not contains(BiasSpec(delta, k), y, y_tilde):
         raise RuntimeError("internal error: exported attack escapes the bias set")
-    refit, _ = fit(dataset.with_labels(y_tilde), lam)
+    refit, _ = fit(dataset.with_labels(y_tilde), influence.lam)
     new_pred = predict(refit, x)
     old_class, new_class = Decision.label(base), Decision.label(new_pred)
 
@@ -453,7 +424,7 @@ def export_attack(
 
     return {
         "mode": mode,
-        "requested": requested,
+        "requested": k,
         "changed_rows": changed.tolist(),
         "changed_count": int(changed.size),
         "old_prediction": base,

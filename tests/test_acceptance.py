@@ -310,11 +310,12 @@ def test_c10_attack_self_consistency(tmp_path):
         ds = synth_classification(60, 3, seed=seed)
         train, _, test = split(ds, SplitConfig(seed=seed))
         delta = classification_delta(train.y)
+        _, influence = fit(train, 0.5)
         for row in range(min(6, test.n)):
             x = test.X[row]
             path = tmp_path / f"minimal_{seed}_{row}.csv"
             try:
-                summary = export_attack(x, train, delta, 0.5, "minimal", path)
+                summary = export_attack(x, train, delta, influence, "minimal", path)
             except Exception:
                 continue  # robust at every budget: nothing to export
             minimal_checked += 1
@@ -331,9 +332,10 @@ def test_c10_attack_self_consistency(tmp_path):
     ds = synth_classification(60, 3, seed=2)
     train, _, test = split(ds, SplitConfig(seed=2))
     delta = classification_delta(train.y)
+    _, influence = fit(train, 0.5)
     for k in (1, 3, 5):
         path = tmp_path / f"fixed_{k}.csv"
-        summary = export_attack(test.X[0], train, delta, 0.5, k, path)
+        summary = export_attack(test.X[0], train, delta, influence, k, path)
         labels = np.array(
             [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
         )

@@ -356,3 +356,15 @@ class TestErrors:
         assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
         assert "lamda_grid" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_accuracy_tolerance_returns_error_code(self, workspace, command, tolerance,
+                                                       capsys):
+        tmp_path, config, out = workspace
+        text = config.read_text().replace("accuracy_tolerance = 0.0",
+                                          f"accuracy_tolerance = {tolerance}")
+        config.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "accuracy tolerance" in capsys.readouterr().err
+        assert not (out / "report.json").exists()

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelcert import Dataset, classification_delta, uniform_delta
+from labelcert import BiasSpec, Dataset, classification_delta, uniform_delta
 from labelcert.config import (
     ExperimentConfig,
     build_delta,
-    build_spec,
     config_from_dict,
     load_experiment_config,
     parse_config_text,
@@ -251,5 +250,6 @@ class TestBuildDelta:
 
     def test_build_spec_resolves_budget(self):
         config = ExperimentConfig(task="classification", budgets=("33.4%",))
-        spec = build_spec(config, self._train(), "33.4%")
+        train = self._train()
+        spec = BiasSpec(build_delta(config, train), resolve_budget("33.4%", train.n))
         assert spec.budget == 1

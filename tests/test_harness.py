@@ -112,37 +112,55 @@ class TestLambdaSweep:
     def test_zero_tolerance_picks_argmax_accuracy(self):
         train, val, _ = _train_test(seed=4)
         delta = classification_delta(train.y)
-        result = lambda_sweep(train, val, "classification", delta, 4, None,
-                              (0.0, 0.1, 1.0, 1000.0), 0.0)
-        best = max(result.accuracies.values())
-        assert result.accuracies[result.chosen_lam] == best
+        chosen, _, record = lambda_sweep(train, val, "classification", delta, 4, None,
+                                         (0.0, 0.1, 1.0, 1000.0), 0.0)
+        best = max(record["accuracies"].values())
+        assert record["accuracies"][str(chosen)] == best
 
     def test_tie_breaks_toward_larger_lambda(self, rng):
         # a dataset where two ridge strengths give identical validation output
         train = Dataset(np.eye(4), np.zeros(4))
         val = Dataset(np.eye(4)[:2], np.zeros(2))
         delta = uniform_delta(4, 0.0)  # frozen labels: all rates equal 1.0
-        result = lambda_sweep(train, val, "regression", delta, 0, 1.0, (0.1, 0.2), 0.0)
-        assert result.chosen_lam == 0.2
+        chosen, _, _ = lambda_sweep(train, val, "regression", delta, 0, 1.0, (0.1, 0.2), 0.0)
+        assert chosen == 0.2
 
     def test_wider_tolerance_never_lowers_chosen_rate(self):
         train, val, _ = _train_test(seed=5)
         delta = classification_delta(train.y)
         grid = (0.0, 0.1, 1.0, 10.0, 100.0)
-        tight = lambda_sweep(train, val, "classification", delta, 6, None, grid, 0.0)
-        loose = lambda_sweep(train, val, "classification", delta, 6, None, grid, 2.0)
-        assert set(tight.admissible) <= set(loose.admissible)
-        assert (loose.certified_rates[loose.chosen_lam]
-                >= tight.certified_rates[tight.chosen_lam])
+        tight_lam, _, tight = lambda_sweep(train, val, "classification", delta, 6, None, grid, 0.0)
+        loose_lam, _, loose = lambda_sweep(train, val, "classification", delta, 6, None, grid, 2.0)
+        assert set(tight["admissible"]) <= set(loose["admissible"])
+        assert loose["rates"][str(loose_lam)] >= tight["rates"][str(tight_lam)]
 
     def test_infinite_tolerance_admits_everything(self):
         train, val, _ = _train_test(seed=6)
         delta = classification_delta(train.y)
         grid = (0.0, 1.0, 10.0)
-        result = lambda_sweep(train, val, "classification", delta, 4, None, grid, math.inf)
-        assert result.admissible == grid
-        best_rate = max(result.certified_rates.values())
-        assert result.certified_rates[result.chosen_lam] == best_rate
+        chosen, _, record = lambda_sweep(train, val, "classification", delta, 4, None, grid,
+                                         math.inf)
+        assert record["admissible"] == list(grid)
+        best_rate = max(record["rates"].values())
+        assert record["rates"][str(chosen)] == best_rate
+
+    def test_record_and_chosen_fit(self):
+        train, val, _ = _train_test(seed=6)
+        delta = classification_delta(train.y)
+        chosen, (theta, influence), record = lambda_sweep(
+            train, val, "classification", delta, 4, None, (0, 1.0), math.inf)
+        assert set(record) == {"reference_budget", "accuracies", "admissible", "rates"}
+        assert record["reference_budget"] == 4
+        assert list(record["accuracies"]) == list(record["rates"]) == ["0.0", "1.0"]
+        assert theta.lam == influence.lam == chosen
+        np.testing.assert_array_equal(theta.values, fit(train, chosen)[0].values)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        train, val, _ = _train_test(seed=6)
+        with pytest.raises(ValueError, match="accuracy tolerance"):
+            lambda_sweep(train, val, "classification", classification_delta(train.y), 4, None,
+                         (0.0, 0.1, 1.0), tolerance)
 
     def test_empty_grid_rejected(self):
         train, val, _ = _train_test(seed=7)
@@ -198,7 +216,8 @@ class TestExportAttack:
         x = np.array([0.2, 1.0])
         # the retraining oracle confirms a single flip suffices on this instance
         assert not brute_force_classification(x, ds, BiasSpec(delta, 1), lam=0.05)
-        summary = export_attack(x, ds, delta, 0.05, "minimal", tmp_path / "labels.csv")
+        summary = export_attack(x, ds, delta, fit(ds, 0.05)[1], "minimal",
+                                tmp_path / "labels.csv")
         assert summary["flipped"]
         assert summary["changed_count"] == 1
         assert summary["new_class"] != summary["old_class"]
@@ -211,8 +230,9 @@ class TestExportAttack:
         ds = self._flippable_dataset()
         delta = classification_delta(ds.y)
         x = np.array([0.2, 1.0])
+        _, influence = fit(ds, 0.05)
         for k in (0, 1, 3):
-            summary = export_attack(x, ds, delta, 0.05, k, tmp_path / f"labels{k}.csv")
+            summary = export_attack(x, ds, delta, influence, k, tmp_path / f"labels{k}.csv")
             assert summary["changed_count"] == k
             labels = _read_labels(tmp_path / f"labels{k}.csv")
             assert int(np.count_nonzero(labels != ds.y)) == k
@@ -222,16 +242,32 @@ class TestExportAttack:
         ds = self._flippable_dataset()
         frozen = uniform_delta(5, 0.0)
         with pytest.raises(NoAttackExists):
-            export_attack(np.array([0.2, 1.0]), ds, frozen, 0.05, "minimal",
+            export_attack(np.array([0.2, 1.0]), ds, frozen, fit(ds, 0.05)[1], "minimal",
                           tmp_path / "labels.csv")
 
     def test_membership_of_exported_labels(self, tmp_path):
         train, _, test = _train_test(seed=8, n=60)
         delta = classification_delta(train.y)
-        summary = export_attack(test.X[0], train, delta, 0.1, 2, tmp_path / "a.csv")
+        summary = export_attack(test.X[0], train, delta, fit(train, 0.1)[1], 2,
+                                tmp_path / "a.csv")
         labels = _read_labels(tmp_path / "a.csv")
         assert contains(BiasSpec(delta, 2), train.y, labels)
         assert summary["changed_count"] == 2
+
+    def test_one_refit_at_the_given_strength(self, tmp_path, monkeypatch):
+        ds = self._flippable_dataset()
+        _, influence = fit(ds, 0.05)
+        real_fit, lams = harness.fit, []
+
+        def counting_fit(dataset, lam):
+            lams.append(lam)
+            return real_fit(dataset, lam)
+
+        monkeypatch.setattr(harness, "fit", counting_fit)
+        for flips in ("minimal", 2):
+            export_attack(np.array([0.2, 1.0]), ds, classification_delta(ds.y), influence,
+                          flips, tmp_path / "labels.csv")
+        assert lams == [0.05, 0.05]
 
 
 def _read_labels(path):
@@ -278,8 +314,8 @@ class TestRunExperiment:
     def test_deterministic_reports(self, tmp_path):
         ds = synth_classification(200, 3, seed=12)
         config = self._config(tmp_path, ds, lambda_grid=(0.0, 0.1, 1.0))
-        a = run_experiment(config).to_dict()
-        b = run_experiment(config).to_dict()
+        a = run_experiment(config)
+        b = run_experiment(config)
         a.pop("timings")
         b.pop("timings")
         assert a == b
@@ -296,37 +332,38 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "fit", counting_fit)
         report = run_experiment(config)
-        assert [len(f["sweep"]["admissible"]) for f in report.per_fold] == [3, 3]
+        assert [len(f["sweep"]["admissible"]) for f in report["per_fold"]] == [3, 3]
         assert sorted(lams) == [0.0, 0.0, 0.1, 0.1, 1.0, 1.0]
 
     def test_summary_contains_both_methods(self, tmp_path):
         ds = synth_classification(200, 3, seed=13)
         report = run_experiment(self._config(tmp_path, ds))
-        assert set(report.summary) == {"exact", "approx"}
-        for label in report.budgets:
-            assert report.summary["approx"][label]["mean"] <= report.summary["exact"][label]["mean"]
+        summary = report["summary"]
+        assert set(summary) == {"exact", "approx"}
+        for label in report["budgets"]:
+            assert summary["approx"][label]["mean"] <= summary["exact"][label]["mean"]
 
     def test_fold_aggregation(self, tmp_path):
         ds = synth_classification(200, 3, seed=14)
         report = run_experiment(self._config(tmp_path, ds, folds=4))
-        assert len(report.per_fold) == 4
-        for label in report.budgets:
-            stats = report.summary["exact"][label]
+        assert [f["fold"] for f in report["per_fold"]] == [0, 1, 2, 3]
+        for label in report["budgets"]:
+            stats = report["summary"]["exact"][label]
             assert stats["min"] <= stats["mean"] <= stats["max"]
 
     def test_group_rates_present(self, tmp_path):
         ds = synth_demographic(300, 0.25, seed=15)
         config = self._config(tmp_path, ds)
         report = run_experiment(config)
-        fold = report.per_fold[0]
-        assert "minority" in fold["group_rates"]["exact"][report.budgets[0]]
+        fold = report["per_fold"][0]
+        assert "minority" in fold["group_rates"]["exact"][report["budgets"][0]]
 
     def test_soundness_checked_per_point(self, tmp_path, monkeypatch):
         from labelcert import harness
 
         ds = synth_classification(200, 3, seed=17)
         config = self._config(tmp_path, ds)
-        exact = run_experiment(config, methods=("exact",)).per_fold[0]["verdicts"]["exact"]
+        exact = run_experiment(config, methods=("exact",))["per_fold"][0]["verdicts"]["exact"]
         # shifted exact verdicts keep the certified rate but certify a non-robust row
         shifted = {label: np.roll(np.array(v), 1) for label, v in exact.items()}
         first = int(np.flatnonzero(shifted["0.5%"] & ~np.array(exact["0.5%"]))[0])
@@ -348,3 +385,14 @@ class TestRunExperiment:
         payload = json.loads(json_path.read_text())
         rendered = render_csv_tables(payload, tmp_path / "rerender")
         assert any(p.name == "rates.csv" for p in rendered)
+
+    def test_report_is_the_written_document(self, tmp_path):
+        ds = synth_demographic(300, 0.25, seed=18)
+        config = self._config(tmp_path, ds, folds=2, lambda_grid=(0.0, 0.1, 1.0))
+        report = run_experiment(config)
+        assert set(report) == {"task", "seed", "folds", "budgets", "per_fold", "summary",
+                               "timings"}
+        assert report["budgets"] == ["0.5%", "2%"]
+        assert all(f["sweep"] is not None for f in report["per_fold"])
+        written = json.loads(write_report(report, config.out_dir).read_text())
+        assert written == report == json.loads(json.dumps(report))
