@@ -97,36 +97,19 @@ def interval_predict(hull: ModelHull, x: np.ndarray):
     return Interval(lo, hi) if x.ndim == 1 else (lo, hi)
 
 
-def _same_fit(hull: ModelHull, coefficients: ModelCoefficients) -> None:
-    if hull.base.lam != coefficients.lam:
-        raise ValueError(
-            f"hull built at lam={hull.base.lam} but coefficients at lam={coefficients.lam}"
-        )
-
-
-def decide_approx(
-    hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray, decision: Decision
-) -> ApproxVerdict:
-    """Certified iff the hull's prediction interval keeps the decision.
-
-    The hull and coefficients must come from the same dataset and ridge
-    strength.
-    """
-    _same_fit(hull, coefficients)
+def decide_approx(hull: ModelHull, x: np.ndarray, decision: Decision) -> ApproxVerdict:
+    """Certified iff the hull's prediction interval keeps the decision at the hull's base fit."""
     predicted = interval_predict(hull, x)
-    certified = decision.keeps(predict(coefficients, x), predicted.lo, predicted.hi)
+    certified = decision.keeps(predict(hull.base, x), predicted.lo, predicted.hi)
     return ApproxVerdict(bool(certified), predicted)
 
 
-def decide_approx_rows(
-    hull: ModelHull, coefficients: ModelCoefficients, X: np.ndarray, decision: Decision
-) -> np.ndarray:
+def decide_approx_rows(hull: ModelHull, X: np.ndarray, decision: Decision) -> np.ndarray:
     """Block form of `decide_approx`: whether each row of X (k, m) is certified.
 
     Rows are certified a block at a time, each with the arithmetic
     `decide_approx` uses for it alone.
     """
-    _same_fit(hull, coefficients)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != hull.m:
         raise DimensionMismatch(f"test points have shape {X.shape}, expected (k, {hull.m})")
@@ -135,22 +118,18 @@ def decide_approx_rows(
     for start in range(0, len(X), rows):
         block = X[start : start + rows]
         lo, hi = interval_predict(hull, block)
-        certified[start : start + rows] = decision.keeps(predict(coefficients, block), lo, hi)
+        certified[start : start + rows] = decision.keeps(predict(hull.base, block), lo, hi)
     return certified
 
 
-def certify_approx(
-    hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray, epsilon: float
-) -> ApproxVerdict:
+def certify_approx(hull: ModelHull, x: np.ndarray, epsilon: float) -> ApproxVerdict:
     """Certified iff the hull's prediction interval fits inside the epsilon band."""
-    return decide_approx(hull, coefficients, x, Decision.band(epsilon))
+    return decide_approx(hull, x, Decision.band(epsilon))
 
 
-def certify_approx_classification(
-    hull: ModelHull, coefficients: ModelCoefficients, x: np.ndarray
-) -> ApproxVerdict:
+def certify_approx_classification(hull: ModelHull, x: np.ndarray) -> ApproxVerdict:
     """Certified iff the hull's prediction interval cannot cross the 0.5 threshold."""
-    return decide_approx(hull, coefficients, x, Decision.threshold())
+    return decide_approx(hull, x, Decision.threshold())
 
 
 _HULL_FORMAT = "labelcert-hull/1"

@@ -46,7 +46,7 @@ def _load_config(args, **extra):
 
 
 def _fold0(args, **extra):
-    """Config plus fold 0 of `fold_fits`: the rows, Δ, λ and fit `certify` reports first."""
+    """Config plus fold 0 of `fold_fits`: the rows, Δ and fit `certify` reports first."""
     config = _load_config(args, **extra)
     return config, next(fold_fits(load_dataset(config), config))
 
@@ -106,7 +106,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_min_flips(args) -> int:
-    config, (train, _, test, delta, _, (_, influence), _) = _fold0(args)
+    config, (train, _, test, delta, (_, influence), _) = _fold0(args)
     decision = Decision.for_task(config.task, config.epsilon)
     rows = [_test_row(args.index, test)] if args.index is not None else range(test.n)
     out_path = Path(config.out_dir) / "min_flips.csv"
@@ -125,7 +125,7 @@ def cmd_min_flips(args) -> int:
 
 def cmd_hull(args) -> int:
     # --lam replaces the grid; --budget stays local so the sweep's reference budget holds
-    config, (train, _, _, delta, _, (_, influence), _) = _fold0(
+    config, (train, _, _, delta, (_, influence), _) = _fold0(
         args, lambda_grid=None if args.lam is None else [args.lam])
     budget = args.budget if args.budget is not None else config.budgets[0]
     spec = BiasSpec(delta, resolve_budget(budget, train.n))
@@ -137,7 +137,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config, (train, _, test, delta, _, (_, influence), _) = _fold0(args)
+    config, (train, _, test, delta, (_, influence), _) = _fold0(args)
     if config.task != "classification":
         raise LabelCertError(f"attack needs a classification task, got {config.task!r}")
     index = _test_row(args.index, test)

@@ -9,6 +9,7 @@ flag overrides the corresponding file entry.
 
 from __future__ import annotations
 
+import math
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,9 +180,12 @@ def resolve_budget(entry, train_size: int) -> int:
     if isinstance(entry, str):
         text = entry.strip()
         if text.endswith("%"):
-            pct = float(text[:-1])
-            if pct < 0:
-                raise ValueError(f"budget percentage must be >= 0, got {entry!r}")
+            try:
+                pct = float(text[:-1])
+            except ValueError:
+                pct = math.nan
+            if not (math.isfinite(pct) and pct >= 0):
+                raise ValueError(f"budget entry {entry!r} must be a finite percentage >= 0")
             count = int(pct / 100.0 * train_size + 0.5)
             if pct > 0:
                 count = max(count, 1)

@@ -109,7 +109,8 @@ def load_csv(
 
     Numeric features pass through; categorical features expand to one-hot
     columns named ``col=value`` in first-appearance order; the bias column,
-    when requested, is appended last.
+    when requested, is appended last.  A column the schema reads must appear
+    once in the header; duplicates of other columns are ignored.
     """
     header, body = _read_rows(path)
     if not body:
@@ -118,6 +119,9 @@ def load_csv(
     for name in (schema.label, *schema.features, *((schema.group,) if schema.group else ())):
         if name not in index:
             raise MissingColumn(f"{path}: column {name!r} not in header {header}")
+        if header.count(name) > 1:
+            raise ParseError(f"{path}: column {name!r} appears {header.count(name)} times "
+                             f"in header {header}")
 
     columns: list[np.ndarray] = []
     names: list[str] = []

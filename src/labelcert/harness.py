@@ -51,17 +51,16 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _verdicts(method, fitted, train_y, X, spec, decision) -> np.ndarray:
-    """Per-row verdicts on the rows of X from one fit `(theta, influence)`.
+def _verdicts(method, influence, train_y, X, spec, decision) -> np.ndarray:
+    """Per-row verdicts on the rows of X from one fit's influence matrix.
 
     exact: one range-kernel call over blocks of X . C; approx: the coefficient
     hull's interval dot products.
     """
-    theta, influence = fitted
     if method == "exact":
         return decision.keeps(*ranges(influence.values, train_y, spec, X))
     if method == "approx":
-        return decide_approx_rows(model_hull(influence, train_y, spec), theta, X, decision)
+        return decide_approx_rows(model_hull(influence, train_y, spec), X, decision)
     raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
 
 
@@ -80,7 +79,7 @@ def robustness_rate(
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
     decision = Decision.for_task(task, epsilon)
-    verdicts = _verdicts(method, fit(train, lam), train.y, X_test, spec, decision)
+    verdicts = _verdicts(method, fit(train, lam)[1], train.y, X_test, spec, decision)
     return CertifiedRate(_fraction(verdicts), verdicts)
 
 
@@ -110,10 +109,10 @@ def lambda_sweep(
     Ties in certified rate resolve toward the larger ridge strength.  Each
     grid value is fitted once; both scores use that fit.
 
-    Returns `(chosen_lam, chosen_fit, record)`: the chosen value, its
-    `(theta, influence)` fit, and the `sweep` entry of report.json, with
-    `accuracies` over the grid and the exact `rates` at the reference budget
-    over the `admissible` values, both keyed by `str(lam)`.
+    Returns `(chosen_fit, record)`: the chosen value's `(theta, influence)`
+    fit, whose `influence.lam` is the choice, and the `sweep` entry of
+    report.json, with `accuracies` over the grid and the exact `rates` at the
+    reference budget over the `admissible` values, both keyed by `str(lam)`.
     """
     grid = tuple(float(l) for l in lambda_grid)
     if not grid:
@@ -131,7 +130,7 @@ def lambda_sweep(
     spec = BiasSpec(delta, reference_budget)
     decision = Decision.for_task(task, epsilon)
     rates = {
-        lam: _fraction(_verdicts("exact", fits[lam], train.y, val.X, spec, decision))
+        lam: _fraction(_verdicts("exact", fits[lam][1], train.y, val.X, spec, decision))
         for lam in admissible
     }
     chosen = None
@@ -144,7 +143,7 @@ def lambda_sweep(
         "admissible": admissible,
         "rates": {str(lam): rates[lam] for lam in admissible},
     }
-    return chosen, fits[chosen], record
+    return fits[chosen], record
 
 
 def group_rates(verdicts: np.ndarray, groups) -> dict:
@@ -165,11 +164,11 @@ def group_rates(verdicts: np.ndarray, groups) -> dict:
 
 
 def fold_fits(dataset: Dataset, config: ExperimentConfig):
-    """Yield `(train, val, test, delta, lam, (theta, influence), sweep_record)` per fold.
+    """Yield `(train, val, test, delta, (theta, influence), sweep_record)` per fold.
 
     In fold mode `val` is carved out of each fold's training rows at the
-    train:val ratio (None when too few rows remain).  `lam` is the grid's one
-    value or the sweep's choice; `sweep_record` is None without a sweep.
+    train:val ratio (None when too few rows remain).  The fit is at the grid's
+    one value or the sweep's choice; `sweep_record` is None without a sweep.
     Lazy: `next(...)` splits and fits fold 0 only.
     """
     sc = config.split
@@ -188,22 +187,22 @@ def fold_fits(dataset: Dataset, config: ExperimentConfig):
         if len(config.lambda_grid) > 1:
             if val is None:
                 raise TooFewRows("lambda sweep needs a nonempty validation split")
-            lam, fitted, sweep_record = lambda_sweep(
+            fitted, sweep_record = lambda_sweep(
                 train, val, config.task, delta,
                 resolve_budget(config.reference_budget, train.n), config.epsilon,
                 config.lambda_grid, config.accuracy_tolerance,
             )
         else:
-            lam = config.lambda_grid[0]
-            fitted = fit(train, lam)
-        yield train, val, test, delta, lam, fitted, sweep_record
+            fitted = fit(train, config.lambda_grid[0])
+        yield train, val, test, delta, fitted, sweep_record
 
 
-def _run_fold(fold_index, train, val, test, delta, lam, fitted, sweep_record,
+def _run_fold(fold_index, train, val, test, delta, fitted, sweep_record,
               config: ExperimentConfig, methods, timings) -> dict:
     """Certify one fitted fold's test rows at every budget of the grid: its `per_fold` entry."""
     decision = Decision.for_task(config.task, config.epsilon)
-    accuracy = _accuracy(fitted[0], val.X, val.y, config.task) if val is not None else None
+    theta, influence = fitted
+    accuracy = _accuracy(theta, val.X, val.y, config.task) if val is not None else None
     rates: dict = {m: {} for m in methods}
     verdicts: dict = {m: {} for m in methods}
     fold_groups: dict = {m: {} for m in methods}
@@ -212,7 +211,7 @@ def _run_fold(fold_index, train, val, test, delta, lam, fitted, sweep_record,
         spec = BiasSpec(delta, count)
         for m in methods:
             start = time.perf_counter()
-            v = verdicts[m][label] = _verdicts(m, fitted, train.y, test.X, spec, decision)
+            v = verdicts[m][label] = _verdicts(m, influence, train.y, test.X, spec, decision)
             timings[m] = timings.get(m, 0.0) + time.perf_counter() - start
             rates[m][label] = _fraction(v)
             if test.group_labels is not None and v.size:
@@ -226,7 +225,7 @@ def _run_fold(fold_index, train, val, test, delta, lam, fitted, sweep_record,
                 )
     return {
         "fold": fold_index,
-        "chosen_lambda": float(lam),
+        "chosen_lambda": influence.lam,
         "accuracy": accuracy,
         "budget_counts": budget_counts,
         "rates": rates,
@@ -350,17 +349,16 @@ def timing_report(
     coefficient hull.
     """
     decision = Decision.for_task(task, epsilon)
-    fitted = fit(train, lam)
-    theta, influence = fitted
+    _, influence = fit(train, lam)
 
     start = time.perf_counter()
-    exact = _verdicts("exact", fitted, train.y, X_test, spec, decision)
+    exact = _verdicts("exact", influence, train.y, X_test, spec, decision)
     exact_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     hull = model_hull(influence, train.y, spec)
     hull_seconds = time.perf_counter() - start
-    approx = decide_approx_rows(hull, theta, X_test, decision)
+    approx = decide_approx_rows(hull, X_test, decision)
     approx_seconds = time.perf_counter() - start
 
     return {

@@ -124,11 +124,11 @@ def test_c04_approx_never_overrules_exact():
         y = rng.normal(0.0, 2.0, 9)
         ds = Dataset(X, y)
         spec = BiasSpec(random_delta(rng, 9), int(rng.integers(1, 4)))
-        theta, influence = fit(ds, 0.4)
+        _, influence = fit(ds, 0.4)
         hull = model_hull(influence, ds.y, spec)
         x = rng.normal(size=3)
         epsilon = float(rng.uniform(0.0, 3.0))
-        if certify_approx(hull, theta, x, epsilon).certified:
+        if certify_approx(hull, x, epsilon).certified:
             certified += 1
             z = influence_vector(x, influence)
             assert certify_from_influence(z, ds.y, spec, epsilon).robust
@@ -139,12 +139,12 @@ def test_c04_approx_never_overrules_exact():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [3.0, 3.0]])
     ds = Dataset(X, np.array([1.0, 2.0, -1.0, 3.0]))
     spec = BiasSpec(uniform_delta(4, 1.0), 2)
-    theta, influence = fit(ds, 1.0)
+    _, influence = fit(ds, 1.0)
     hull = model_hull(influence, ds.y, spec)
     x = np.array([1.0, -1.0])
     z = influence_vector(x, influence)
     assert certify_from_influence(z, ds.y, spec, 0.01).robust
-    assert not certify_approx(hull, theta, x, 0.01).certified
+    assert not certify_approx(hull, x, 0.01).certified
     assert interval_predict(hull, x).width > 0.0
     _report(f"4 (soundness one-way, {certified} certificates checked; incompleteness shown)")
 

@@ -27,7 +27,7 @@ from labelcert.approx import (
 from labelcert.bias import Interval
 from labelcert.errors import DimensionMismatch, ParseError
 from labelcert.exact import Decision, certify_from_influence, prediction_range
-from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector
+from labelcert.linalg import InfluenceMatrix, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members
 from oracle import brute_force_hull
 
@@ -131,7 +131,7 @@ class TestIntervalPredict:
         for _ in range(30):
             ds = random_dataset(rng, n=10, m=3)
             spec = BiasSpec(random_delta(rng, 10), 2)
-            theta, influence = fit(ds, 0.3)
+            _, influence = fit(ds, 0.3)
             hull = model_hull(influence, ds.y, spec)
             x = rng.normal(size=3)
             z = influence_vector(x, influence)
@@ -145,21 +145,21 @@ class TestIntervalPredict:
 class TestCertifyApprox:
     def test_zero_budget_always_certified(self, rng):
         ds = random_dataset(rng, n=8, m=3)
-        theta, influence = fit(ds, 0.5)
+        _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 1.0), 0))
         for eps in (0.0, 0.1, 5.0):
-            assert certify_approx(hull, theta, rng.normal(size=3), eps).certified
+            assert certify_approx(hull, rng.normal(size=3), eps).certified
 
     def test_certified_implies_exact_robust(self, rng):
         certified_seen = 0
         for _ in range(120):
             ds = random_dataset(rng, n=9, m=3)
             spec = BiasSpec(random_delta(rng, 9), 2)
-            theta, influence = fit(ds, 0.4)
+            _, influence = fit(ds, 0.4)
             hull = model_hull(influence, ds.y, spec)
             x = rng.normal(size=3)
             eps = rng.uniform(0.0, 3.0)
-            if certify_approx(hull, theta, x, eps).certified:
+            if certify_approx(hull, x, eps).certified:
                 certified_seen += 1
                 z = influence_vector(x, influence)
                 assert certify_from_influence(z, ds.y, spec, eps).robust
@@ -171,63 +171,52 @@ class TestCertifyApprox:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [3.0, 3.0]])
         ds = Dataset(X, np.array([1.0, 2.0, -1.0, 3.0]))
         spec = BiasSpec(uniform_delta(4, 1.0), 2)
-        theta, influence = fit(ds, 1.0)
+        _, influence = fit(ds, 1.0)
         hull = model_hull(influence, ds.y, spec)
         x = np.array([1.0, -1.0])
         z = influence_vector(x, influence)
         exact = certify_from_influence(z, ds.y, spec, epsilon=0.01)
-        loose = certify_approx(hull, theta, x, epsilon=0.01)
+        loose = certify_approx(hull, x, epsilon=0.01)
         assert exact.robust
         assert not loose.certified
-
-    def test_lambda_mismatch_rejected(self, rng):
-        ds = random_dataset(rng, n=6, m=2)
-        _, influence = fit(ds, 0.5)
-        hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(6, 1.0), 1))
-        other = ModelCoefficients(np.zeros(2), 0.25)
-        with pytest.raises(ValueError):
-            certify_approx(hull, other, np.ones(2), 1.0)
-        with pytest.raises(ValueError):
-            decide_approx_rows(hull, other, np.ones((3, 2)), Decision.band(1.0))
 
 
 class TestDecideApproxRows:
     def test_rows_equal_single_points_across_blocks(self, rng, monkeypatch):
         ds = random_dataset(rng, n=9, m=3)
-        theta, influence = fit(ds, 0.4)
+        _, influence = fit(ds, 0.4)
         hull = model_hull(influence, ds.y, BiasSpec(random_delta(rng, 9), 2))
         X = rng.normal(size=(7, 3))
         monkeypatch.setattr(exact, "ELEMS", 2 * 3)  # blocks of 2, 2, 2 and 1 rows
         for decision in (Decision.band(1.5), Decision.threshold()):
-            rows = decide_approx_rows(hull, theta, X, decision)
-            single = [decide_approx(hull, theta, x, decision).certified for x in X]
+            rows = decide_approx_rows(hull, X, decision)
+            single = [decide_approx(hull, x, decision).certified for x in X]
             np.testing.assert_array_equal(rows, np.array(single, dtype=bool))
-        assert decide_approx_rows(hull, theta, np.empty((0, 3)), decision).shape == (0,)
+        assert decide_approx_rows(hull, np.empty((0, 3)), decision).shape == (0,)
 
     def test_rejects_single_point(self, rng):
         ds = random_dataset(rng, n=6, m=2)
-        theta, influence = fit(ds, 0.5)
+        _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(6, 1.0), 1))
         for bad in (np.ones(2), np.ones((2, 3)), np.ones((0, 3))):
             with pytest.raises(DimensionMismatch):
-                decide_approx_rows(hull, theta, bad, Decision.threshold())
+                decide_approx_rows(hull, bad, Decision.threshold())
 
 
 class TestCertifyApproxClassification:
     def test_threshold_sides(self):
         hull = _hull3()
-        theta = hull.base
         # x chosen so the base prediction is far above 0.5 but the hull crosses it
         x = np.array([1.0, 0.0, 0.0])
-        verdict = certify_approx_classification(hull, theta, x)
+        verdict = certify_approx_classification(hull, x)
         assert not verdict.certified  # hull coordinate [-2, 4] spans 0.5
 
     def test_certified_when_interval_clears_threshold(self, rng):
         ds = random_dataset(rng, n=8, m=2, binary=True)
-        theta, influence = fit(ds, 0.5)
+        _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 0.0), 0))
         x = rng.normal(size=2)
-        verdict = certify_approx_classification(hull, theta, x)
+        verdict = certify_approx_classification(hull, x)
         assert verdict.certified  # degenerate hull: nothing can move
 
 

@@ -8,7 +8,7 @@ import pytest
 from labelcert import BiasSpec, classification_delta, fit, synth_classification, with_bias_column
 from labelcert.cli import main
 from labelcert.data import SplitConfig, split, write_csv
-from labelcert.exact import classify_from_influence
+from labelcert.exact import Decision, classify_from_influence
 from labelcert.linalg import influence_vector
 
 CONFIG_TEMPLATE = """
@@ -248,6 +248,27 @@ class TestHull:
         assert fold["chosen_lambda"] != 0.0  # not the grid's first value
 
 
+    def test_loaded_hull_certifies_like_certify(self, workspace):
+        # a saved hull alone reproduces certify's approx verdicts at the first budget
+        from labelcert import load_hull
+        from labelcert.approx import decide_approx_rows
+
+        tmp_path, config, out = workspace
+        _rewrite(config)
+        assert main(["certify", "--method", "approx", "--config", str(config),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert main(["hull", "--config", str(config), "--out-dir", str(out)]) == 0
+        hull = load_hull(out / "hull.json")
+
+        _, _, test = split(with_bias_column(synth_classification(200, 3, seed=5)),
+                           SplitConfig(seed=5))
+        expected = report["per_fold"][0]["verdicts"]["approx"][report["budgets"][0]]
+        verdicts = decide_approx_rows(hull, test.X, Decision.threshold())
+        assert verdicts.tolist() == expected
+        assert any(expected) and not all(expected)
+
+
 class TestAttack:
     def test_minimal_attack_summary(self, workspace):
         tmp_path, config, out = workspace
@@ -356,6 +377,19 @@ class TestErrors:
         assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
         assert "lamda_grid" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("entry", ["inf%", "1e400%", "nan%"])
+    def test_nonfinite_budget_returns_error_code(self, workspace, entry, capsys):
+        tmp_path, config, out = workspace
+        text = config.read_text().replace('budgets = ["0.5%", "2%"]', f'budgets = ["{entry}"]')
+        config.write_text(text, encoding="utf-8")
+        assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert f"budget entry '{entry}'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        code = main(["hull", "--config", str(config), "--budget", entry, "--out-dir", str(out)])
+        assert code == 2
+        assert f"budget entry '{entry}'" in capsys.readouterr().err
+        assert not (out / "hull.json").exists()
 
     @pytest.mark.parametrize("command", ["certify", "sweep"])
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])

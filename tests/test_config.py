@@ -209,6 +209,11 @@ class TestResolveBudget:
         with pytest.raises(ValueError):
             resolve_budget("five", 100)
 
+    @pytest.mark.parametrize("entry", ["inf%", "1e400%", "nan%", "-1%", "five%"])
+    def test_nonfinite_or_negative_percentage_rejected(self, entry):
+        with pytest.raises(ValueError, match=f"budget entry '{entry}'"):
+            resolve_budget(entry, 100)
+
 
 class TestBuildDelta:
     def _train(self):

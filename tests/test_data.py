@@ -63,6 +63,19 @@ class TestLoadCsv:
         with pytest.raises(MissingColumn):
             load_csv(path, DatasetSchema(label="target", features=("a", "missing")))
 
+    @pytest.mark.parametrize("header,duplicate",
+                             [("f1,f1,label", "f1"), ("f1,label,label", "label")])
+    def test_duplicate_schema_column_rejected(self, tmp_path, header, duplicate):
+        path = _write(tmp_path, f"{header}\n1,2,0\n3,4,1\n")
+        with pytest.raises(ParseError, match=rf"data\.csv: column '{duplicate}' appears 2 times"):
+            load_csv(path, DatasetSchema(label="label", features=("f1",)))
+
+    def test_duplicate_unused_column_loads(self, tmp_path):
+        path = _write(tmp_path, "f1,x,x,label\n1,7,8,0\n3,9,10,1\n")
+        ds = load_csv(path, DatasetSchema(label="label", features=("f1",)))
+        np.testing.assert_array_equal(ds.X, [[1.0], [3.0]])
+        np.testing.assert_array_equal(ds.y, [0.0, 1.0])
+
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = _write(tmp_path, "a,target\n1,0\noops,1\n")
         with pytest.raises(NonNumericValue, match="row 3"):

@@ -91,16 +91,16 @@ class TestBlockVerdicts:
             decision, spec = Decision.threshold(), BiasSpec(classification_delta(ds.y), 2)
         else:
             decision, spec = Decision.band(0.0625), BiasSpec(uniform_delta(ds.n, 0.5), 2)
-        theta, influence = fit(ds, 0.1)
+        _, influence = fit(ds, 0.1)
         hull = model_hull(influence, ds.y, spec)
         # three-row blocks: 7 rows make blocks of 3, 3 and 1
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
-        exact_block = harness._verdicts("exact", (theta, influence), ds.y, X_test, spec, decision)
+        exact_block = harness._verdicts("exact", influence, ds.y, X_test, spec, decision)
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.m)
-        approx_block = harness.decide_approx_rows(hull, theta, X_test, decision)
+        approx_block = harness.decide_approx_rows(hull, X_test, decision)
         exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
                         for x in X_test]
-        approx_single = [decide_approx(hull, theta, x, decision).certified for x in X_test]
+        approx_single = [decide_approx(hull, x, decision).certified for x in X_test]
         assert exact_block.dtype == approx_block.dtype == bool
         np.testing.assert_array_equal(exact_block, np.array(exact_single, dtype=bool))
         np.testing.assert_array_equal(approx_block, np.array(approx_single, dtype=bool))
@@ -112,48 +112,50 @@ class TestLambdaSweep:
     def test_zero_tolerance_picks_argmax_accuracy(self):
         train, val, _ = _train_test(seed=4)
         delta = classification_delta(train.y)
-        chosen, _, record = lambda_sweep(train, val, "classification", delta, 4, None,
-                                         (0.0, 0.1, 1.0, 1000.0), 0.0)
+        (_, influence), record = lambda_sweep(train, val, "classification", delta, 4, None,
+                                              (0.0, 0.1, 1.0, 1000.0), 0.0)
         best = max(record["accuracies"].values())
-        assert record["accuracies"][str(chosen)] == best
+        assert record["accuracies"][str(influence.lam)] == best
 
     def test_tie_breaks_toward_larger_lambda(self, rng):
         # a dataset where two ridge strengths give identical validation output
         train = Dataset(np.eye(4), np.zeros(4))
         val = Dataset(np.eye(4)[:2], np.zeros(2))
         delta = uniform_delta(4, 0.0)  # frozen labels: all rates equal 1.0
-        chosen, _, _ = lambda_sweep(train, val, "regression", delta, 0, 1.0, (0.1, 0.2), 0.0)
-        assert chosen == 0.2
+        (_, influence), _ = lambda_sweep(train, val, "regression", delta, 0, 1.0, (0.1, 0.2), 0.0)
+        assert influence.lam == 0.2
 
     def test_wider_tolerance_never_lowers_chosen_rate(self):
         train, val, _ = _train_test(seed=5)
         delta = classification_delta(train.y)
         grid = (0.0, 0.1, 1.0, 10.0, 100.0)
-        tight_lam, _, tight = lambda_sweep(train, val, "classification", delta, 6, None, grid, 0.0)
-        loose_lam, _, loose = lambda_sweep(train, val, "classification", delta, 6, None, grid, 2.0)
+        (_, tight_fit), tight = lambda_sweep(train, val, "classification", delta, 6, None, grid,
+                                             0.0)
+        (_, loose_fit), loose = lambda_sweep(train, val, "classification", delta, 6, None, grid,
+                                             2.0)
         assert set(tight["admissible"]) <= set(loose["admissible"])
-        assert loose["rates"][str(loose_lam)] >= tight["rates"][str(tight_lam)]
+        assert loose["rates"][str(loose_fit.lam)] >= tight["rates"][str(tight_fit.lam)]
 
     def test_infinite_tolerance_admits_everything(self):
         train, val, _ = _train_test(seed=6)
         delta = classification_delta(train.y)
         grid = (0.0, 1.0, 10.0)
-        chosen, _, record = lambda_sweep(train, val, "classification", delta, 4, None, grid,
-                                         math.inf)
+        (_, influence), record = lambda_sweep(train, val, "classification", delta, 4, None, grid,
+                                              math.inf)
         assert record["admissible"] == list(grid)
         best_rate = max(record["rates"].values())
-        assert record["rates"][str(chosen)] == best_rate
+        assert record["rates"][str(influence.lam)] == best_rate
 
     def test_record_and_chosen_fit(self):
         train, val, _ = _train_test(seed=6)
         delta = classification_delta(train.y)
-        chosen, (theta, influence), record = lambda_sweep(
+        (theta, influence), record = lambda_sweep(
             train, val, "classification", delta, 4, None, (0, 1.0), math.inf)
         assert set(record) == {"reference_budget", "accuracies", "admissible", "rates"}
         assert record["reference_budget"] == 4
         assert list(record["accuracies"]) == list(record["rates"]) == ["0.0", "1.0"]
-        assert theta.lam == influence.lam == chosen
-        np.testing.assert_array_equal(theta.values, fit(train, chosen)[0].values)
+        assert theta.lam == influence.lam
+        np.testing.assert_array_equal(theta.values, fit(train, influence.lam)[0].values)
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
