@@ -12,7 +12,7 @@ from .approx import certify_approx, certify_approx_classification, load_hull, mo
 from .bias import BiasSpec, TargetPredicate, apply_targeting, classification_delta, uniform_delta
 from .data import synth_classification, synth_demographic, with_bias_column
 from .exact import Decision, certify_classification, certify_regression, min_flips
-from .harness import group_rates, robustness_rate, timing_report
+from .harness import certify_grid, group_rates, robustness_rate, timing_report
 from .linalg import Dataset, fit
 
 __version__ = "0.1.0"

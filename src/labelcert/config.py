@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise ValueError("regression experiments require an epsilon")
         if self.epsilon is not None:
             self.epsilon = float(self.epsilon)
-            if self.epsilon < 0:
+            if not self.epsilon >= 0:
                 raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.bias_kind not in ("uniform", "classification", "file"):
             raise ValueError(f"unknown bias kind {self.bias_kind!r}")
@@ -205,17 +205,25 @@ def resolve_budget(entry, train_size: int) -> int:
     return count
 
 
-def build_delta(config: ExperimentConfig, train: Dataset) -> PerturbationVector:
-    """Materialize the configured perturbation vector for a training split."""
+def build_delta(config: ExperimentConfig, dataset: Dataset) -> PerturbationVector:
+    """Materialize the configured perturbation vector: one interval per dataset row.
+
+    A bias file holds one `lo,hi` row per dataset row, in dataset order; each
+    fold takes its training rows' intervals from the result.
+    """
     if config.bias_kind == "uniform":
-        delta = uniform_delta(train.n, config.bias_halfwidth)
+        delta = uniform_delta(dataset.n, config.bias_halfwidth)
     elif config.bias_kind == "classification":
-        delta = classification_delta(train.y)
+        delta = classification_delta(dataset.y)
     else:
         if config.bias_file is None:
             raise ValueError("bias kind 'file' requires a file path")
         lo, hi = read_delta_csv(config.bias_file)
+        if lo.size != dataset.n:
+            raise ParseError(
+                f"{config.bias_file}: {lo.size} intervals for {dataset.n} dataset rows"
+            )
         delta = PerturbationVector(lo, hi)
     if config.targeting is not None:
-        delta = apply_targeting(delta, train, config.targeting)
+        delta = apply_targeting(delta, dataset, config.targeting)
     return delta

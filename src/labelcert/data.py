@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,39 +197,42 @@ def with_bias_column(dataset: Dataset) -> Dataset:
     )
 
 
-def split(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic train/validation/test partition.
+def fold_rows(n: int, config: SplitConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Row indices `(train, val, test)` of every fold of a deterministic partition.
 
-    Sizes are floor(n*train), floor(n*val), remainder; the three parts are
-    disjoint and exhaustive.
+    With one fold, a holdout split of sizes floor(n*train), floor(n*val) and
+    the remainder.  With k folds, k disjoint test folds cover every row, and
+    each fold's val rows (possibly none) are carved out of the other folds'
+    rows at the train:val ratio.
     """
-    n = dataset.n
-    n_train = int(n * config.train + 1e-9)
-    n_val = int(n * config.val + 1e-9)
-    if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise TooFewRows(
-            f"{n} rows cannot fill a {config.train}/{config.val}/{config.test} split"
-        )
     perm = np.random.default_rng(config.seed).permutation(n)
-    return (
-        dataset.subset(perm[:n_train]),
-        dataset.subset(perm[n_train : n_train + n_val]),
-        dataset.subset(perm[n_train + n_val :]),
-    )
-
-
-def kfold(dataset: Dataset, config: SplitConfig) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic k-fold partition: k disjoint test folds covering every row."""
-    n, k = dataset.n, config.folds
-    if n < k:
-        raise TooFewRows(f"{n} rows cannot form {k} folds")
-    perm = np.random.default_rng(config.seed).permutation(n)
-    folds = np.array_split(perm, k)
+    if config.folds <= 1:
+        n_train = int(n * config.train + 1e-9)
+        n_val = int(n * config.val + 1e-9)
+        if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
+            raise TooFewRows(
+                f"{n} rows cannot fill a {config.train}/{config.val}/{config.test} split"
+            )
+        return [(perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])]
+    if n < config.folds:
+        raise TooFewRows(f"{n} rows cannot form {config.folds} folds")
+    folds = np.array_split(perm, config.folds)
     out = []
-    for i, test_rows in enumerate(folds):
-        train_rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        out.append((dataset.subset(train_rows), dataset.subset(test_rows)))
+    for i, test in enumerate(folds):
+        rest = np.concatenate(folds[:i] + folds[i + 1 :])
+        n_val = int(rest.size * (config.val / (config.train + config.val)))
+        carve = np.random.default_rng((config.seed, i)).permutation(rest.size)
+        out.append((rest[carve[n_val:]], rest[carve[:n_val]], test))
     return out
+
+
+def split(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset, Dataset]:
+    """Deterministic train/validation/test partition: `fold_rows`' holdout split.
+
+    The three parts are disjoint and exhaustive; `config.folds` is ignored.
+    """
+    rows = fold_rows(dataset.n, replace(config, folds=1))[0]
+    return tuple(dataset.subset(part) for part in rows)
 
 
 # Class-conditional feature means for the synthetic classification task,

@@ -5,12 +5,12 @@ training labels, so the reachable prediction set under a label perturbation
 budget is a closed interval whose endpoints are attained by moving the
 budgeted number of highest-impact labels to interval endpoints.  `ranges`
 computes that interval for a whole block of functionals at once: one
-in-place partition (introselect) per row selects the top-budget impacts, so
-no row is sorted.  Every verdict takes its interval from it.  Witnesses of
-each end (attained up to rounding), the smallest budget that breaks
-robustness and fixed-size attacks all move a prefix of one greedy label
-order, one functional at a time.  Verdicts are judged against a `Decision`
-(a prediction band or the 0.5 threshold).
+in-place partition (introselect) per row selects the top-budget impacts,
+and only those are sorted.  Every verdict takes its interval from it.
+Witnesses of each end (attained up to rounding), the smallest budget that
+breaks robustness and fixed-size attacks all move a prefix of one greedy
+label order, one functional at a time.  Verdicts are judged against a
+`Decision` (a prediction band or the 0.5 threshold).
 """
 
 from __future__ import annotations
@@ -148,8 +148,10 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     The functionals are the rows of Z, or of X @ Z (formed one block of rows
     at a time) when X is given.  Returns arrays (base, lo, hi): each row's
     value at y, plus the sum of its `budget` largest decreases or increases.
-    An in-place partition (introselect) per row selects them; the work
-    buffers are allocated once per call.
+    An in-place partition (introselect) per row selects them.  The selected
+    impacts are then sorted and added one at a time, largest first: the
+    order and the sequential sum of min-flips' cumsum, so an end depends on
+    the selected values only.  The work buffers are allocated once per call.
     """
     Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
     n, budget = spec.n, spec.budget
@@ -182,9 +184,14 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
             np.minimum(up, other, out=down)
             np.maximum(up, other, out=up)
             down.partition(budget - 1, axis=1)
-            np.add(base[part], down[:, :budget].sum(axis=1), out=lo[part])
+            low = down[:, :budget]
+            low.sort(axis=1)  # ascending: the largest decrease first
+            bottom = np.cumsum(low, axis=1, out=work[:r, :budget])[:, -1]
+            np.add(base[part], bottom, out=lo[part])
         up.partition(n - budget, axis=1)
-        top = up[:, n - budget :].sum(axis=1)
+        high = up[:, n - budget :]
+        high.sort(axis=1)
+        top = np.cumsum(high[:, ::-1], axis=1, out=work[:r, :budget])[:, -1]
         np.add(base[part], top, out=hi[part])
         if symmetric:
             np.subtract(base[part], top, out=lo[part])
@@ -324,10 +331,11 @@ def min_flips_from_influence(
         raise DimensionMismatch(f"shapes z{z.shape}, y{y.shape}, intervals {delta.lo.shape}")
     base = float(z @ y)
     best = None
-    for side, sign in (("upper", 1.0), ("lower", -1.0)):
+    low, high = decision.limits(base)
+    for side, sign, limit in (("upper", 1.0, high), ("lower", -1.0, low)):
+        if np.isinf(limit):
+            continue  # no move this way can leave the limits
         gain = gains(z, delta, side)
-        if not decision.escapes(base, base + sign * gain.sum()):
-            continue  # moving every label this way still keeps the decision
         order = _greedy(gain)
         reach = base + sign * np.cumsum(gain[order])
         breaking = np.flatnonzero(decision.escapes(base, reach))

@@ -19,7 +19,7 @@ import numpy as np
 from .approx import decide_approx_rows, model_hull
 from .bias import BiasSpec, PerturbationVector, contains
 from .config import ExperimentConfig, build_delta, resolve_budget
-from .data import SplitConfig, kfold, load_csv, split
+from .data import fold_rows, load_csv
 from .errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -51,17 +51,40 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _verdicts(method, influence, train_y, X, spec, decision) -> np.ndarray:
-    """Per-row verdicts on the rows of X from one fit's influence matrix.
+def certify_grid(influence, train_y, X, specs, decision, methods=("exact", "approx")):
+    """Certify the rows of X from one fit at every named budget, by each method.
 
-    exact: one range-kernel call over blocks of X . C; approx: the coefficient
-    hull's interval dot products.
+    `specs` maps the caller's budget names to BiasSpecs.  exact: one
+    range-kernel call per budget over blocks of X . C; approx: one coefficient
+    hull per budget and its interval dot products.  Returns `(verdicts,
+    seconds)`: `verdicts[method][name]` is a boolean array over the rows of X,
+    and `seconds[method]` the wall time of that method, hull builds included.
+    When both methods run, every approx certificate is checked against exact,
+    point by point.
     """
-    if method == "exact":
-        return decision.keeps(*ranges(influence.values, train_y, spec, X))
-    if method == "approx":
-        return decide_approx_rows(model_hull(influence, train_y, spec), X, decision)
-    raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
+    verdicts, seconds = {}, {}
+    for method in methods:
+        start = time.perf_counter()
+        if method == "exact":
+            verdicts[method] = {name: decision.keeps(*ranges(influence.values, train_y, spec, X))
+                                for name, spec in specs.items()}
+        elif method == "approx":
+            verdicts[method] = {
+                name: decide_approx_rows(model_hull(influence, train_y, spec), X, decision)
+                for name, spec in specs.items()
+            }
+        else:
+            raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
+        seconds[method] = time.perf_counter() - start
+    if {"exact", "approx"} <= verdicts.keys():
+        for name in specs:
+            unsound = np.flatnonzero(verdicts["approx"][name] & ~verdicts["exact"][name])
+            if unsound.size:
+                raise RuntimeError(
+                    f"soundness violation: approx certified test row {unsound[0]}, "
+                    f"which exact finds non-robust, at budget {name}"
+                )
+    return verdicts, seconds
 
 
 def _fraction(verdicts: np.ndarray) -> float:
@@ -78,9 +101,10 @@ def robustness_rate(
     method: str,
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
-    decision = Decision.for_task(task, epsilon)
-    verdicts = _verdicts(method, fit(train, lam)[1], train.y, X_test, spec, decision)
-    return CertifiedRate(_fraction(verdicts), verdicts)
+    verdicts, _ = certify_grid(fit(train, lam)[1], train.y, X_test, {spec.budget: spec},
+                               Decision.for_task(task, epsilon), (method,))
+    flags = verdicts[method][spec.budget]
+    return CertifiedRate(_fraction(flags), flags)
 
 
 def _accuracy(theta: ModelCoefficients, X: np.ndarray, y: np.ndarray, task: str) -> float:
@@ -127,12 +151,12 @@ def lambda_sweep(
     else:
         floor = best - tolerance_pct / 100.0 * max(abs(best), 1e-12)
     admissible = [lam for lam in grid if accuracies[lam] >= floor]
-    spec = BiasSpec(delta, reference_budget)
+    specs = {reference_budget: BiasSpec(delta, reference_budget)}
     decision = Decision.for_task(task, epsilon)
-    rates = {
-        lam: _fraction(_verdicts("exact", fits[lam][1], train.y, val.X, spec, decision))
-        for lam in admissible
-    }
+    rates = {}
+    for lam in admissible:
+        verdicts, _ = certify_grid(fits[lam][1], train.y, val.X, specs, decision, ("exact",))
+        rates[lam] = _fraction(verdicts["exact"][reference_budget])
     chosen = None
     for lam in sorted(admissible):
         if chosen is None or rates[lam] >= rates[chosen]:
@@ -166,23 +190,17 @@ def group_rates(verdicts: np.ndarray, groups) -> dict:
 def fold_fits(dataset: Dataset, config: ExperimentConfig):
     """Yield `(train, val, test, delta, (theta, influence), sweep_record)` per fold.
 
-    In fold mode `val` is carved out of each fold's training rows at the
-    train:val ratio (None when too few rows remain).  The fit is at the grid's
-    one value or the sweep's choice; `sweep_record` is None without a sweep.
-    Lazy: `next(...)` splits and fits fold 0 only.
+    Each fold's rows come from `fold_rows` (`val` is None when the fold has
+    none), and `delta` holds the training rows' intervals of the dataset's
+    perturbation vector.  The fit is at the grid's one value or the sweep's
+    choice; `sweep_record` is None without a sweep.  Lazy: `next(...)` fits
+    fold 0 only.
     """
-    sc = config.split
-    plan = [split(dataset, sc)] if sc.folds <= 1 else kfold(dataset, sc)
-    for i, part in enumerate(plan):
-        if sc.folds <= 1:
-            train, val, test = part
-        else:
-            train_full, test = part
-            n_val = int(train_full.n * (sc.val / (sc.train + sc.val)))
-            perm = np.random.default_rng((sc.seed, i)).permutation(train_full.n)
-            val = train_full.subset(perm[:n_val]) if n_val else None
-            train = train_full.subset(perm[n_val:])
-        delta = build_delta(config, train)
+    full = build_delta(config, dataset)
+    for train_rows, val_rows, test_rows in fold_rows(dataset.n, config.split):
+        train, test = dataset.subset(train_rows), dataset.subset(test_rows)
+        val = dataset.subset(val_rows) if val_rows.size else None
+        delta = PerturbationVector(full.lo[train_rows], full.hi[train_rows])
         sweep_record = None
         if len(config.lambda_grid) > 1:
             if val is None:
@@ -200,36 +218,24 @@ def fold_fits(dataset: Dataset, config: ExperimentConfig):
 def _run_fold(fold_index, train, val, test, delta, fitted, sweep_record,
               config: ExperimentConfig, methods, timings) -> dict:
     """Certify one fitted fold's test rows at every budget of the grid: its `per_fold` entry."""
-    decision = Decision.for_task(config.task, config.epsilon)
     theta, influence = fitted
     accuracy = _accuracy(theta, val.X, val.y, config.task) if val is not None else None
-    rates: dict = {m: {} for m in methods}
-    verdicts: dict = {m: {} for m in methods}
-    fold_groups: dict = {m: {} for m in methods}
     budget_counts = {str(e): resolve_budget(e, train.n) for e in config.budgets}
-    for label, count in budget_counts.items():
-        spec = BiasSpec(delta, count)
-        for m in methods:
-            start = time.perf_counter()
-            v = verdicts[m][label] = _verdicts(m, influence, train.y, test.X, spec, decision)
-            timings[m] = timings.get(m, 0.0) + time.perf_counter() - start
-            rates[m][label] = _fraction(v)
-            if test.group_labels is not None and v.size:
-                fold_groups[m][label] = group_rates(v, test.group_labels)
-        if "exact" in methods and "approx" in methods:
-            unsound = np.flatnonzero(verdicts["approx"][label] & ~verdicts["exact"][label])
-            if unsound.size:
-                raise RuntimeError(
-                    f"soundness violation: approx certified test row {unsound[0]}, "
-                    f"which exact finds non-robust, at budget {label}"
-                )
+    verdicts, seconds = certify_grid(
+        influence, train.y, test.X,
+        {label: BiasSpec(delta, count) for label, count in budget_counts.items()},
+        Decision.for_task(config.task, config.epsilon), methods,
+    )
+    for m, spent in seconds.items():
+        timings[m] = timings.get(m, 0.0) + spent
     return {
         "fold": fold_index,
         "chosen_lambda": influence.lam,
         "accuracy": accuracy,
         "budget_counts": budget_counts,
-        "rates": rates,
-        "group_rates": fold_groups,
+        "rates": {m: {b: _fraction(v) for b, v in verdicts[m].items()} for m in methods},
+        "group_rates": {m: {b: group_rates(v, test.group_labels) for b, v in verdicts[m].items()}
+                        if test.group_labels is not None else {} for m in methods},
         "verdicts": {m: {b: v.tolist() for b, v in verdicts[m].items()} for m in methods},
         "sweep": sweep_record,
     }
@@ -346,29 +352,17 @@ def timing_report(
     """Wall-clock comparison of the two certifiers over the same test points.
 
     The shared fit is excluded; the approximate figure includes building the
-    coefficient hull.
+    coefficient hull.  Every approx certificate is checked against exact.
     """
-    decision = Decision.for_task(task, epsilon)
-    _, influence = fit(train, lam)
-
-    start = time.perf_counter()
-    exact = _verdicts("exact", influence, train.y, X_test, spec, decision)
-    exact_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    hull = model_hull(influence, train.y, spec)
-    hull_seconds = time.perf_counter() - start
-    approx = decide_approx_rows(hull, X_test, decision)
-    approx_seconds = time.perf_counter() - start
-
+    verdicts, seconds = certify_grid(fit(train, lam)[1], train.y, X_test, {spec.budget: spec},
+                                     Decision.for_task(task, epsilon))
     return {
         "points": int(len(X_test)),
         "budget": spec.budget,
-        "exact_seconds": exact_seconds,
-        "approx_seconds": approx_seconds,
-        "hull_seconds": hull_seconds,
-        "exact_rate": _fraction(exact),
-        "approx_rate": _fraction(approx),
+        "exact_seconds": seconds["exact"],
+        "approx_seconds": seconds["approx"],
+        "exact_rate": _fraction(verdicts["exact"][spec.budget]),
+        "approx_rate": _fraction(verdicts["approx"][spec.budget]),
     }
 
 

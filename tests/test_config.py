@@ -131,6 +131,13 @@ class TestExperimentConfig:
             ExperimentConfig(task="regression", epsilon=None)
         ExperimentConfig(task="regression", epsilon=1.0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_negative_or_nan_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            ExperimentConfig(task="regression", epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            config_from_dict(parse_config_text(f"task = \"regression\"\nepsilon = {epsilon}\n"))
+
     def test_empty_budgets_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(budgets=())
@@ -252,6 +259,14 @@ class TestBuildDelta:
                                   bias_kind="file", bias_file=str(path))
         delta = build_delta(config, self._train())
         np.testing.assert_array_equal(delta.hi, [1.0, 0.0, 3.0])
+
+    def test_file_needs_one_interval_per_row(self, tmp_path):
+        path = tmp_path / "delta.csv"
+        path.write_text("lo,hi\n-1,1\n0,3\n", encoding="utf-8")
+        config = ExperimentConfig(task="regression", epsilon=1.0,
+                                  bias_kind="file", bias_file=str(path))
+        with pytest.raises(ParseError, match="2 intervals for 3 dataset rows"):
+            build_delta(config, self._train())
 
     def test_build_spec_resolves_budget(self):
         config = ExperimentConfig(task="classification", budgets=("33.4%",))

@@ -7,7 +7,7 @@ from labelcert import Dataset, synth_classification, synth_demographic
 from labelcert.data import (
     DatasetSchema,
     SplitConfig,
-    kfold,
+    fold_rows,
     load_csv,
     read_delta_csv,
     schema_for,
@@ -150,20 +150,20 @@ class TestSplit:
 
 
 class TestKFold:
-    def test_disjoint_exhaustive(self, rng):
-        ds = Dataset(rng.normal(size=(100, 2)), np.arange(100.0))
-        folds = kfold(ds, SplitConfig(seed=2, folds=10))
+    def test_disjoint_exhaustive(self):
+        folds = fold_rows(100, SplitConfig(seed=2, folds=10))
         assert len(folds) == 10
-        seen = np.concatenate([test.y for _, test in folds])
+        seen = np.concatenate([test for _, _, test in folds])
         assert len(seen) == 100 and len(set(seen)) == 100
-        for train, test in folds:
-            assert test.n == 10 and train.n == 90
-            assert not set(train.y) & set(test.y)
+        for train, val, test in folds:
+            # val is carved out of the other folds at the 0.8:0.1 ratio
+            assert (train.size, val.size, test.size) == (80, 10, 10)
+            np.testing.assert_array_equal(np.sort(np.concatenate([train, val, test])),
+                                          np.arange(100))
 
-    def test_too_few_rows(self, rng):
-        ds = Dataset(rng.normal(size=(3, 1)), np.ones(3))
+    def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            kfold(ds, SplitConfig(folds=5))
+            fold_rows(3, SplitConfig(folds=5))
 
 
 class TestSynthClassification:

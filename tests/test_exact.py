@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelcert import (
@@ -542,6 +542,25 @@ class TestMinFlips:
             assert classify_from_influence(z, y, BiasSpec(spec.delta, k - 1)).robust
             assert Decision.label(z @ result.witness) != Decision.label(z @ y)
 
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.integers(0, 39))
+    @example(n=22, seed=6, symmetric=True, upper=True, short=0)
+    @settings(max_examples=200)
+    def test_band_verdicts_match_min_flips_at_every_budget(self, n, seed, symmetric, upper,
+                                                           short):
+        # non-dyadic values round every sum, and the band's edge is one reachable end
+        # (`short` labels below the full budget): the verdict at each budget and
+        # min-flips must add the same impacts in the same order
+        z, y, spec = random_instance(np.random.default_rng(seed), n, 0)
+        delta = uniform_delta(n, 1.0) if symmetric else spec.delta
+        reach = np.cumsum(np.sort(gains(z, delta, "upper" if upper else "lower"))[::-1])
+        base, end = float(z @ y), reach[n - 1 - short % n]
+        decision = Decision.band(abs((base + end if upper else base - end) - base))
+        result = min_flips_from_influence(z, y, delta, decision)
+        for b in range(n + 1):
+            keeps = decision.keeps(*ranges(z[None], y, BiasSpec(delta, b)))[0]
+            assert keeps == (result is None or b < result.flips), (b, result)
 
 @st.composite
 def tied_instances(draw, max_n: int = 6):
