@@ -1,9 +1,10 @@
 """Dataset ingestion, splitting, and synthetic generators.
 
-CSV files are RFC-4180, UTF-8, with a mandatory header row.  Categorical
-columns one-hot expand in first-appearance order; an all-ones bias column can
-be appended as the last feature.  Numeric output is written at 17 significant
-digits so a write/load round trip is bit-identical.
+CSV files are RFC-4180, UTF-8 (a leading byte-order mark is skipped), with a
+mandatory header row.  Categorical columns one-hot expand in first-appearance
+order; an all-ones bias column can be appended as the last feature.  Numeric
+output is written at 17 significant digits so a write/load round trip is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class SplitConfig:
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -100,6 +101,15 @@ def _cell(rows: list[list[str]], col: int, ridx: int, name: str) -> float:
         raise NonNumericValue(
             f"row {ridx + 2}, column {name!r}: cannot parse {text!r} as a number"
         ) from None
+
+
+def _column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
+    """Column `col` of the data rows as floats, in one pass when every cell parses;
+    otherwise a cell-by-cell scan raises NonNumericValue at the first bad cell."""
+    try:
+        return np.array([float(row[col]) for row in rows])
+    except ValueError:
+        return np.array([_cell(rows, col, r, name) for r in range(len(rows))])
 
 
 def load_csv(
@@ -136,14 +146,13 @@ def load_csv(
                 columns.append(np.array([1.0 if row[col] == cat else 0.0 for row in body]))
                 names.append(f"{feature}={cat}")
         else:
-            columns.append(np.array([_cell(body, col, r, feature) for r in range(len(body))]))
+            columns.append(_column(body, col, feature))
             names.append(feature)
     if schema.add_bias_column:
         columns.append(np.ones(len(body)))
         names.append(BIAS_COLUMN)
 
-    label_col = index[schema.label]
-    y = np.array([_cell(body, label_col, r, schema.label) for r in range(len(body))])
+    y = _column(body, index[schema.label], schema.label)
     if require_binary_labels and not np.isin(y, (0.0, 1.0)).all():
         bad = int(np.argmax(~np.isin(y, (0.0, 1.0))))
         raise NonNumericValue(
@@ -309,6 +318,6 @@ def read_delta_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     lowered = [h.strip().lower() for h in header]
     if lowered[:2] != ["lo", "hi"]:
         raise ParseError(f"{path}: expected header 'lo,hi', got {header}")
-    lo = np.array([_cell(body, 0, r, "lo") for r in range(len(body))])
-    hi = np.array([_cell(body, 1, r, "hi") for r in range(len(body))])
+    lo = _column(body, 0, "lo")
+    hi = _column(body, 1, "hi")
     return lo, hi

@@ -7,10 +7,12 @@ budgeted number of highest-impact labels to interval endpoints.  `ranges`
 computes that interval for a whole block of functionals at once: one
 in-place partition (introselect) per row selects the top-budget impacts,
 and only those are sorted.  Every verdict takes its interval from it.
-Witnesses of each end (attained up to rounding), the smallest budget that
-breaks robustness and fixed-size attacks all move a prefix of one greedy
-label order, one functional at a time.  Verdicts are judged against a
-`Decision` (a prediction band or the 0.5 threshold).
+The smallest budget that breaks robustness comes from a cumsum over one
+functional's sorted gain values.  Witnesses of each end (attained up to
+rounding), the breaking label vector and fixed-size attacks all move a
+prefix of one greedy label order (decreasing gain, ties to the lowest
+index), picked by value with a partition rather than ordered.  Verdicts are
+judged against a `Decision` (a prediction band or the 0.5 threshold).
 """
 
 from __future__ import annotations
@@ -210,11 +212,26 @@ def gains(z: np.ndarray, delta: PerturbationVector, side: str) -> np.ndarray:
     return np.maximum(up, down) if side == "upper" else -np.minimum(up, down)
 
 
-def _greedy(gain: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
-    """The greedy label order: the labels `among` (ascending; default: those with a
-    nonzero gain) by decreasing gain, ties to the lowest index."""
-    among = np.flatnonzero(gain) if among is None else among
-    return among[np.argsort(-gain[among], kind="stable")]
+def _prefix(gain: np.ndarray, k: int, among: np.ndarray | None = None) -> np.ndarray:
+    """The first k labels of the greedy order, as an unordered index array.
+
+    The greedy order takes the labels `among` (default: those with a nonzero
+    gain) by decreasing gain, ties to the lowest index.  Its first k are every
+    label whose gain beats the k-th largest, then the lowest-index labels tied
+    with it; a partition finds that gain without ordering the rest.
+    """
+    values = gain if among is None else gain[among]
+    if k <= 0:
+        picked = np.empty(0, dtype=np.intp)
+    elif k >= values.size:
+        picked = np.arange(values.size)
+    else:
+        kth = np.partition(values, values.size - k)[values.size - k]
+        above = np.flatnonzero(values > kth)
+        picked = np.concatenate([above, np.flatnonzero(values == kth)[: k - above.size]])
+    if among is None:  # zero gains tie only when k reaches past the nonzero ones
+        return picked[gain[picked] != 0]
+    return among[picked]
 
 
 def _moved(y: np.ndarray, z: np.ndarray, delta: PerturbationVector, side: str, idx) -> np.ndarray:
@@ -241,7 +258,7 @@ def fixed_attack(
     free = np.flatnonzero((delta.lo != 0) | (delta.hi != 0))
     if free.size < k:
         raise NoAttackExists(f"only {free.size} labels may change under this perturbation model")
-    return _moved(y, z, delta, side, _greedy(effect, free)[:k])
+    return _moved(y, z, delta, side, _prefix(effect, k, free))
 
 
 def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, PredictionRange]:
@@ -253,8 +270,8 @@ def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, Predict
     delta, budget = spec.delta, spec.budget
     return float(base[0]), PredictionRange(
         interval=Interval(lo[0], hi[0]),
-        lower_witness=_moved(y, z, delta, "lower", _greedy(gains(z, delta, "lower"))[:budget]),
-        upper_witness=_moved(y, z, delta, "upper", _greedy(gains(z, delta, "upper"))[:budget]),
+        lower_witness=_moved(y, z, delta, "lower", _prefix(gains(z, delta, "lower"), budget)),
+        upper_witness=_moved(y, z, delta, "upper", _prefix(gains(z, delta, "upper"), budget)),
     )
 
 
@@ -320,11 +337,13 @@ def min_flips_from_influence(
 ) -> MinFlipsResult | None:
     """Smallest number of label changes that makes the prediction escape the decision.
 
-    The k-th step moves the k-th label of the greedy order toward one side,
-    so after k steps the prediction sits at the extreme reachable with budget
-    k.  Upward and downward excursions are searched separately; the smaller
-    budget wins, the upward one on ties.  Returns None when every label with
-    a nonzero gain is exhausted and the decision still holds.
+    The k-th step moves the label with the k-th largest gain toward one
+    side, so after k steps the prediction sits at the extreme reachable with
+    budget k: a cumsum over the sorted positive gain values, the sum `ranges`
+    takes.  Upward and downward excursions are searched separately; the
+    smaller budget wins, the upward one on ties.  The witness moves the first
+    k labels of the greedy order, picked by value.  Returns None when every
+    label with a nonzero gain is exhausted and the decision still holds.
     """
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     if z.shape != y.shape or y.shape != delta.lo.shape:
@@ -336,15 +355,16 @@ def min_flips_from_influence(
         if np.isinf(limit):
             continue  # no move this way can leave the limits
         gain = gains(z, delta, side)
-        order = _greedy(gain)
-        reach = base + sign * np.cumsum(gain[order])
+        ascending = np.sort(gain)
+        positive = ascending[np.searchsorted(ascending, 0.0, side="right") :]
+        reach = base + sign * np.cumsum(positive[::-1])
         breaking = np.flatnonzero(decision.escapes(base, reach))
         if breaking.size and (best is None or breaking[0] + 1 < best[0]):
-            best = (int(breaking[0]) + 1, side, order)
+            best = (int(breaking[0]) + 1, side, gain)
     if best is None:
         return None
-    flips, side, order = best
-    witness = _moved(y, z, delta, side, order[:flips])
+    flips, side, gain = best
+    witness = _moved(y, z, delta, side, _prefix(gain, flips))
     return MinFlipsResult(flips, witness, float(z @ witness), side)
 
 

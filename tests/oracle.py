@@ -3,6 +3,10 @@
 These routines enumerate the reachable label set directly and exist solely to
 back-stop the fast certifiers in tests.  Hard size guards keep them honest:
 they refuse instances large enough to hide quadratic slowdowns.
+
+The `argsort_*` routines are the other kind of reference: the greedy-order
+witnesses, minimum flips and fixed attacks written the direct way, with a
+stable argsort of every gain.  They cost O(n log n), so they take no guard.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from labelcert.bias import BiasSpec, Interval
+from labelcert.bias import BiasSpec, Interval, PerturbationVector
 from labelcert.errors import DimensionMismatch, LabelCertError, NonBinaryLabel
+from labelcert.exact import Decision, gains
 from labelcert.linalg import Dataset, fit, predict
 
 MAX_LABELS = 15
@@ -124,3 +129,55 @@ def brute_force_classification(
             if (pred >= 0.5) != base_class:
                 return False
     return True
+
+
+def argsort_greedy(gain: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
+    """The labels `among` (default: those with a nonzero gain) by decreasing
+    gain, ties to the lowest index."""
+    among = np.flatnonzero(gain) if among is None else among
+    return among[np.argsort(-gain[among], kind="stable")]
+
+
+def _moved(y, z, delta: PerturbationVector, side: str, idx) -> np.ndarray:
+    toward_hi = (z[idx] >= 0) == (side == "upper")
+    near = np.where(toward_hi, delta.hi[idx], delta.lo[idx])
+    out = y.copy()
+    out[idx] += np.where(near != 0, near, np.where(toward_hi, delta.lo[idx], delta.hi[idx]))
+    return out
+
+
+def argsort_witnesses(z, y, spec: BiasSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) witnesses: the first `budget` labels of each side's greedy order moved."""
+    return tuple(
+        _moved(y, z, spec.delta, side, argsort_greedy(gains(z, spec.delta, side))[: spec.budget])
+        for side in ("lower", "upper")
+    )
+
+
+def argsort_min_flips(z, y, delta: PerturbationVector, decision: Decision):
+    """(flips, side, witness, prediction) of the smallest breaking greedy prefix, or None."""
+    base = float(z @ y)
+    best = None
+    low, high = decision.limits(base)
+    for side, sign, limit in (("upper", 1.0, high), ("lower", -1.0, low)):
+        if np.isinf(limit):
+            continue
+        gain = gains(z, delta, side)
+        order = argsort_greedy(gain)
+        breaking = np.flatnonzero(decision.escapes(base, base + sign * np.cumsum(gain[order])))
+        if breaking.size and (best is None or breaking[0] + 1 < best[0]):
+            best = (int(breaking[0]) + 1, side, order)
+    if best is None:
+        return None
+    flips, side, order = best
+    witness = _moved(y, z, delta, side, order[:flips])
+    return flips, side, witness, float(z @ witness)
+
+
+def argsort_fixed_attack(z, y, delta: PerturbationVector, side: str, k: int) -> np.ndarray:
+    """y with the first k movable labels moved toward `side`: the helpful ones by decreasing
+    gain, then the rest by decreasing (zero or negative) effect."""
+    gain = gains(z, delta, side)
+    effect = np.where(gain > 0, gain, -gains(z, delta, "lower" if side == "upper" else "upper"))
+    free = np.flatnonzero((delta.lo != 0) | (delta.hi != 0))
+    return _moved(y, z, delta, side, argsort_greedy(effect, free)[:k])

@@ -81,6 +81,45 @@ class TestLoadCsv:
         with pytest.raises(NonNumericValue, match="row 3"):
             load_csv(path, DatasetSchema(label="target", features=("a",)))
 
+    @pytest.mark.parametrize("text,row,column", [
+        ("a,target\n1,0\n2,1\nx,0\n", 4, "a"),         # last row, feature column
+        ("a,target\n1,0\n2,?\n3,1\n", 3, "target"),    # label column
+        ("a,target\n1,0\n2,1\n3,\n", 4, "target"),     # empty cell in the last row
+    ])
+    def test_bad_cell_named_by_row_and_column(self, tmp_path, text, row, column):
+        path = _write(tmp_path, text)
+        with pytest.raises(NonNumericValue, match=rf"^row {row}, column '{column}': cannot parse"):
+            load_csv(path, DatasetSchema(label="target", features=("a",)))
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [" 1.5 ", "1e-3", "+2", "-0", "7"]
+        body = "".join(f"{cell},{i % 2}\n" for i, cell in enumerate(cells))
+        ds = load_csv(_write(tmp_path, "a,target\n" + body),
+                      DatasetSchema(label="target", features=("a",)))
+        np.testing.assert_array_equal(ds.X[:, 0], [float(cell) for cell in cells])
+        np.testing.assert_array_equal(ds.y, [i % 2 for i in range(len(cells))])
+        # non-finite cells parse, and the dataset then refuses them
+        with pytest.raises(ValueError, match="non-finite"):
+            load_csv(_write(tmp_path, "a,target\n1,0\nnan,1\n"),
+                     DatasetSchema(label="target", features=("a",)))
+
+    def test_categorical_and_group_columns_beside_numeric_ones(self, tmp_path):
+        path = _write(tmp_path, "a,color,target,race\n1.25,B,0,X\n-2,A,1,Y\n3,B,1,X\n")
+        schema = DatasetSchema(label="target", features=("a", "color"), group="race",
+                               categorical=("color",), add_bias_column=True)
+        ds = load_csv(path, schema)
+        assert ds.feature_names == ("a", "color=B", "color=A", "bias")
+        np.testing.assert_array_equal(ds.X, [[1.25, 1, 0, 1], [-2, 0, 1, 1], [3, 1, 0, 1]])
+        np.testing.assert_array_equal(ds.y, [0.0, 1.0, 1.0])
+        assert ds.group_labels == ("X", "Y", "X")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffa,target\r\n1,0\r\n2,1".encode("utf-8"))
+        ds = load_csv(path, DatasetSchema(label="target", features=("a",)))
+        np.testing.assert_array_equal(ds.X, [[1.0], [2.0]])
+        np.testing.assert_array_equal(ds.y, [0.0, 1.0])
+
     def test_ragged_row_rejected(self, tmp_path):
         path = _write(tmp_path, "a,b,target\n1,2,0\n3,4\n")
         with pytest.raises(ParseError, match="row 3"):
@@ -227,6 +266,17 @@ class TestDeltaCsv:
         lo, hi = read_delta_csv(path)
         np.testing.assert_array_equal(lo, [-1.0, 0.0])
         np.testing.assert_array_equal(hi, [0.0, 2.5])
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        path = _write(tmp_path, "lo,hi\nnan, inf \n-inf,1e-3\n", name="delta.csv")
+        lo, hi = read_delta_csv(path)
+        np.testing.assert_array_equal(lo, [float("nan"), float("-inf")])
+        np.testing.assert_array_equal(hi, [float("inf"), 1e-3])
+
+    def test_bad_cell_named_by_row_and_column(self, tmp_path):
+        path = _write(tmp_path, "lo,hi\n-1,0\n0,high\n", name="delta.csv")
+        with pytest.raises(NonNumericValue, match="row 3, column 'hi'"):
+            read_delta_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n", name="delta.csv")

@@ -27,8 +27,15 @@ from labelcert.exact import (
     prediction_range,
     ranges,
 )
-from conftest import dyadic_instances, random_dataset, random_delta, random_instance
-from oracle import brute_force_classification, brute_force_range
+from conftest import dyadic, dyadic_instances, random_dataset, random_delta, random_instance
+from oracle import (
+    argsort_fixed_attack,
+    argsort_greedy,
+    argsort_min_flips,
+    argsort_witnesses,
+    brute_force_classification,
+    brute_force_range,
+)
 
 # The two-label worked example used throughout: z = (-1, 2), y = (3, 4),
 # every label may move within [-1, 1], at most one label changes.
@@ -604,6 +611,98 @@ class TestGreedyOrder:
         if result is not None:
             at_k = prediction_range(z, y, BiasSpec(spec.delta, result.flips))
             np.testing.assert_array_equal(result.witness, at_k.witness(result.side))
+
+
+@st.composite
+def greedy_instances(draw, max_n: int = 12):
+    """(z, y, delta) with integer-valued or dyadic z, so gains tie often, and
+    symmetric, flip-only or asymmetric intervals, some of them [0, 0]."""
+    n = draw(st.integers(1, max_n))
+    values = st.integers(-3, 3).map(float) if draw(st.booleans()) else dyadic(-16, 16)
+    z = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["uniform", "flip", "asymmetric"]))
+    if kind == "uniform":
+        delta = uniform_delta(n, 1.0)
+    elif kind == "flip":
+        delta = classification_delta(y)
+    else:
+        lo = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0]), min_size=n, max_size=n))
+        hi = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+        delta = PerturbationVector(np.array(lo), np.array(hi))
+    return z, y, delta
+
+
+DECISIONS = [Decision.band(0.0), Decision.band(0.5), Decision.band(2.5), Decision.band(1e9),
+             Decision.threshold()]
+
+
+def assert_matches_argsort(z, y, delta, decision, budgets, counts):
+    """Min-flips, range witnesses at `budgets` and fixed attacks of `counts` labels are
+    bit-identical to the argsort-ordered references."""
+    new, old = min_flips_from_influence(z, y, delta, decision), argsort_min_flips(z, y, delta, decision)
+    if old is None:
+        assert new is None
+    else:
+        flips, side, witness, prediction = old
+        assert (new.flips, new.side, new.prediction) == (flips, side, prediction)
+        np.testing.assert_array_equal(new.witness, witness)
+    for budget in budgets:
+        spec = BiasSpec(delta, budget)
+        got = prediction_range(z, y, spec)
+        lower, upper = argsort_witnesses(z, y, spec)
+        np.testing.assert_array_equal(got.lower_witness, lower)
+        np.testing.assert_array_equal(got.upper_witness, upper)
+    for side in ("upper", "lower"):
+        for k in counts:
+            np.testing.assert_array_equal(fixed_attack(z, y, delta, side, k),
+                                          argsort_fixed_attack(z, y, delta, side, k))
+
+
+class TestPrefixMatchesArgsort:
+    """The value-picked greedy prefix equals the first k of a stable argsort, bit for bit."""
+
+    @given(st.lists(st.integers(-2, 3).map(float), min_size=1, max_size=12), st.booleans())
+    @settings(max_examples=150)
+    def test_prefix_is_the_argsort_prefix(self, values, restrict):
+        # by default the candidates are the nonzero gains, which are never negative
+        among = np.flatnonzero(np.arange(len(values)) % 3) if restrict else None
+        gain = np.array(values) if restrict else np.abs(values)
+        order = argsort_greedy(gain, among)
+        for k in range(gain.size + 2):  # k = 0, inside and past the candidates
+            assert sorted(exact._prefix(gain, k, among)) == sorted(order[:k])
+
+    @given(greedy_instances(), st.sampled_from(DECISIONS))
+    @settings(max_examples=200)
+    def test_small_instances(self, instance, decision):
+        z, y, delta = instance
+        n = z.size
+        free = np.count_nonzero((delta.lo != 0) | (delta.hi != 0))
+        assert_matches_argsort(z, y, delta, decision, range(n + 1), range(free + 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_tied_instances(self, seed):
+        # n >= 2000 integer-valued z: thousands of labels share each gain
+        rng = np.random.default_rng(seed)
+        n = 2400
+        z = rng.integers(-4, 5, n).astype(float)
+        y = (rng.random(n) < 0.5).astype(float)
+        base = z @ y
+        for delta in (classification_delta(y), uniform_delta(n, 1.0), random_delta(rng, n)):
+            nonzero = np.count_nonzero(gains(z, delta, "upper"))
+            budgets = [0, 1, 7, nonzero - 1, nonzero, min(nonzero + 1, n), n]
+            counts = [0, 1, 300, nonzero, min(nonzero + 5, n)]
+            for decision in (Decision.threshold(), Decision.band(abs(base) / 3 + 1),
+                             Decision.band(0.0)):
+                assert_matches_argsort(z, y, delta, decision, budgets, counts)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_large_continuous_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        z, y, spec = random_instance(rng, 3000, 0)
+        for eps in (0.5, 20.0, 1e9):
+            assert_matches_argsort(z, y, spec.delta, Decision.band(eps), [0, 40, 2999],
+                                   [0, 40, 2500])
 
 
 class TestBinaryExactness:
