@@ -2,7 +2,7 @@
 """Wall-clock comparison of the two certifiers as the test set grows.
 
 The exact certifier re-optimizes per test point; the hull certifier pays a
-one-time hull build and then costs an interval dot product per point.
+one-time hull build and then costs one m-wide range per point.
 """
 
 import argparse

@@ -3,8 +3,8 @@
 The exact certifier computes the closed interval of predictions reachable
 when at most a budgeted number of training labels move within per-label
 intervals, together with witness label vectors; the approximate certifier
-bounds the reachable coefficient set once and certifies any test point with
-a single interval dot product.  Both judge predictions by one `Decision`: a
+bounds the reachable coefficient set once and certifies any test point by
+its prediction range over that box.  Both judge predictions by one `Decision`: a
 band of radius epsilon (regression) or the 0.5 threshold (classification).
 """
 

@@ -4,10 +4,11 @@ Instead of re-solving the worst case per test point, bound each fitted
 coefficient over the whole reachable label set once: one call of the exact
 range kernel on the rows of the influence matrix.  The resulting interval
 box (the model hull) is the tightest axis-aligned enclosure of the reachable
-coefficient set; certifying a test point then costs one interval dot
-product, and a block of points (`decide_approx_rows`) one elementwise
-pass.  The check is one-sided: a certificate implies exact robustness, but
-failure to certify proves nothing.
+coefficient set.  The range of x . theta over that box is a budgeted-interval
+problem of its own, with the base coefficients as "labels", each free to move
+within its box side and all of them at once, so the same kernel certifies a
+block of test points too.  The check is one-sided: a certificate implies
+exact robustness, but failure to certify proves nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasSpec, Interval
+from .bias import BiasSpec, Interval, PerturbationVector
 from .errors import DimensionMismatch, LabelCertError, ParseError
-from .exact import Decision, block_rows, ranges
-from .linalg import InfluenceMatrix, ModelCoefficients, predict
+from .exact import Decision, ranges
+from .linalg import InfluenceMatrix, ModelCoefficients
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,6 @@ class ModelHull:
         return self.lower.size
 
 
-@dataclass(frozen=True)
-class ApproxVerdict:
-    """Certified, or unknown (the hull is an over-approximation, so never 'not robust')."""
-
-    certified: bool
-    predicted_interval: Interval
-
-
 def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> ModelHull:
     """Tightest interval box containing every coefficient vector reachable under the spec.
 
@@ -81,55 +74,38 @@ def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> Mod
     )
 
 
-def interval_predict(hull: ModelHull, x: np.ndarray):
-    """Interval dot product of the hull with a test point (m,) or a block of them (k, m).
+def interval_predict(hull: ModelHull, X: np.ndarray):
+    """Range of x . theta over the hull box for each row x of X (k, m).
 
-    Each coordinate contributes [lo*x, hi*x] with the bounds swapped when the
-    coordinate of x is negative; contributions add by endpoint sums, row by
-    row.  Returns an Interval for one point and (lo, hi) arrays for a block.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != hull.m:
-        raise DimensionMismatch(f"test points have shape {x.shape}, expected (..., {hull.m})")
-    nonneg = x >= 0
-    lo = np.where(nonneg, hull.lower * x, hull.upper * x).sum(axis=-1)
-    hi = np.where(nonneg, hull.upper * x, hull.lower * x).sum(axis=-1)
-    return Interval(lo, hi) if x.ndim == 1 else (lo, hi)
-
-
-def decide_approx(hull: ModelHull, x: np.ndarray, decision: Decision) -> ApproxVerdict:
-    """Certified iff the hull's prediction interval keeps the decision at the hull's base fit."""
-    predicted = interval_predict(hull, x)
-    certified = decision.keeps(predict(hull.base, x), predicted.lo, predicted.hi)
-    return ApproxVerdict(bool(certified), predicted)
-
-
-def decide_approx_rows(hull: ModelHull, X: np.ndarray, decision: Decision) -> np.ndarray:
-    """Block form of `decide_approx`: whether each row of X (k, m) is certified.
-
-    Rows are certified a block at a time, each with the arithmetic
-    `decide_approx` uses for it alone.
+    `ranges` with the base coefficients theta0 as the labels, each free to
+    move within [lower - theta0, upper - theta0] and all m at once.  Returns
+    arrays (base, lo, hi): each row's prediction at theta0 and its range.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != hull.m:
         raise DimensionMismatch(f"test points have shape {X.shape}, expected (k, {hull.m})")
-    certified = np.empty(len(X), dtype=bool)
-    rows = block_rows(hull.m, len(X))
-    for start in range(0, len(X), rows):
-        block = X[start : start + rows]
-        lo, hi = interval_predict(hull, block)
-        certified[start : start + rows] = decision.keeps(predict(hull.base, block), lo, hi)
-    return certified
+    theta = hull.base.values
+    box = PerturbationVector(hull.lower - theta, hull.upper - theta)
+    return ranges(X, theta, BiasSpec(box, hull.m))
 
 
-def certify_approx(hull: ModelHull, x: np.ndarray, epsilon: float) -> ApproxVerdict:
-    """Certified iff the hull's prediction interval fits inside the epsilon band."""
-    return decide_approx(hull, x, Decision.band(epsilon))
+def decide_approx_rows(hull: ModelHull, X: np.ndarray, decision: Decision) -> np.ndarray:
+    """Whether each row of X (k, m) is certified: its hull range keeps the decision."""
+    return decision.keeps(*interval_predict(hull, X))
 
 
-def certify_approx_classification(hull: ModelHull, x: np.ndarray) -> ApproxVerdict:
-    """Certified iff the hull's prediction interval cannot cross the 0.5 threshold."""
-    return decide_approx(hull, x, Decision.threshold())
+def _certify_point(hull: ModelHull, x: np.ndarray, decision: Decision) -> bool:
+    return bool(decide_approx_rows(hull, np.asarray(x, dtype=float)[None], decision)[0])
+
+
+def certify_approx(hull: ModelHull, x: np.ndarray, epsilon: float) -> bool:
+    """Certified iff the hull's prediction interval at x (m,) fits inside the epsilon band."""
+    return _certify_point(hull, x, Decision.band(epsilon))
+
+
+def certify_approx_classification(hull: ModelHull, x: np.ndarray) -> bool:
+    """Certified iff the hull's prediction interval at x (m,) cannot cross the 0.5 threshold."""
+    return _certify_point(hull, x, Decision.threshold())
 
 
 _HULL_FORMAT = "labelcert-hull/1"

@@ -104,7 +104,7 @@ class BiasSpec:
         return len(self.delta)
 
     def fingerprint(self) -> str:
-        """Stable hash of (budget, intervals); keys hull caches and exports."""
+        """Stable hash of (budget, intervals), recorded in a hull's `hull.json`."""
         digest = hashlib.sha256()
         digest.update(str(self.budget).encode())
         digest.update(self.delta.lo.tobytes())

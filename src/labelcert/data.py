@@ -96,20 +96,27 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
 def _cell(rows: list[list[str]], col: int, ridx: int, name: str) -> float:
     text = rows[ridx][col]
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise NonNumericValue(
-            f"row {ridx + 2}, column {name!r}: cannot parse {text!r} as a number"
-        ) from None
+            f"row {ridx + 2}, column {name!r}: cannot parse {text!r} as a finite number"
+        )
+    return value
 
 
 def _column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
-    """Column `col` of the data rows as floats, in one pass when every cell parses;
-    otherwise a cell-by-cell scan raises NonNumericValue at the first bad cell."""
+    """Column `col` of the data rows as finite floats, in one pass when every cell
+    parses to one; otherwise a cell-by-cell scan raises NonNumericValue at the first
+    bad cell."""
     try:
-        return np.array([float(row[col]) for row in rows])
+        values = np.array([float(row[col]) for row in rows])
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        return np.array([_cell(rows, col, r, name) for r in range(len(rows))])
+        pass
+    return np.array([_cell(rows, col, r, name) for r in range(len(rows))])
 
 
 def load_csv(
@@ -167,16 +174,11 @@ def load_csv(
     return Dataset(np.column_stack(columns), y, tuple(names), groups)
 
 
-def write_csv(
-    dataset: Dataset,
-    path: str | Path,
-    label_name: str = "label",
-    group_name: str = "group",
-) -> None:
-    """Write features + label (+ group) with 17-significant-digit numerics."""
-    header = [*dataset.feature_names, label_name]
+def write_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write features, `label` (and `group`) columns with 17-significant-digit numerics."""
+    header = [*dataset.feature_names, "label"]
     if dataset.group_labels is not None:
-        header.append(group_name)
+        header.append("group")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -187,12 +189,12 @@ def write_csv(
             writer.writerow(row)
 
 
-def schema_for(dataset: Dataset, label_name: str = "label", group_name: str = "group") -> DatasetSchema:
+def schema_for(dataset: Dataset) -> DatasetSchema:
     """Schema that reloads a file produced by write_csv for this dataset."""
     return DatasetSchema(
-        label=label_name,
+        label="label",
         features=dataset.feature_names,
-        group=group_name if dataset.group_labels is not None else None,
+        group="group" if dataset.group_labels is not None else None,
     )
 
 

@@ -119,7 +119,6 @@ class CertResult:
 
     robust: bool
     range: PredictionRange
-    decision: Decision
     base_prediction: float
     counterexample: np.ndarray | None
 
@@ -134,14 +133,9 @@ class MinFlipsResult:
     side: str  # "upper" or "lower"
 
 
-# Float64 elements per block of work (1 MiB): `ranges` and hull certificates
-# handle max(1, ELEMS // width) rows of `width` values at a time.
+# Float64 elements per block of work (1 MiB): `ranges` handles
+# max(1, ELEMS // n) rows of n values at a time.
 ELEMS = 1 << 17
-
-
-def block_rows(width: int, count: int) -> int:
-    """Rows per block when `count` rows of `width` values are processed in blocks."""
-    return max(1, min(count, ELEMS // width))
 
 
 def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = None):
@@ -154,6 +148,11 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     impacts are then sorted and added one at a time, largest first: the
     order and the sequential sum of min-flips' cumsum, so an end depends on
     the selected values only.  The work buffers are allocated once per call.
+
+    Every interval in the package comes from here: exact verdicts (the rows
+    of X @ C over the training labels), hull coordinates (the rows of C) and
+    hull certificates (test points over the hull box, see
+    `approx.interval_predict`).
     """
     Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
     n, budget = spec.n, spec.budget
@@ -166,7 +165,7 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     # With symmetric intervals a label's largest decrease is minus its
     # largest increase, so one selection serves both ends.
     symmetric = np.array_equal(spec.delta.lo, -spec.delta.hi)
-    rows = block_rows(n, k)
+    rows = max(1, min(k, ELEMS // n))
     increase, decrease, work = (np.empty((rows, n)) for _ in range(3))
     for start in range(0, k, rows):
         part, r = slice(start, start + rows), min(rows, k - start)
@@ -295,7 +294,7 @@ def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decisio
     base, rng = _range(z, y, spec)
     escaped, side = decision.breach(base, rng.interval.lo, rng.interval.hi)
     counterexample = rng.witness(side) if escaped else None
-    return CertResult(not escaped, rng, decision, base, counterexample)
+    return CertResult(not escaped, rng, base, counterexample)
 
 
 def certify_from_influence(

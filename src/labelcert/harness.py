@@ -56,11 +56,11 @@ def certify_grid(influence, train_y, X, specs, decision, methods=("exact", "appr
 
     `specs` maps the caller's budget names to BiasSpecs.  exact: one
     range-kernel call per budget over blocks of X . C; approx: one coefficient
-    hull per budget and its interval dot products.  Returns `(verdicts,
-    seconds)`: `verdicts[method][name]` is a boolean array over the rows of X,
-    and `seconds[method]` the wall time of that method, hull builds included.
-    When both methods run, every approx certificate is checked against exact,
-    point by point.
+    hull per budget, and one more range-kernel call over X and the hull box.
+    Returns `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array
+    over the rows of X, and `seconds[method]` the wall time of that method,
+    hull builds included.  When both methods run, every approx certificate is
+    checked against exact, point by point.
     """
     verdicts, seconds = {}, {}
     for method in methods:

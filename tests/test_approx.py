@@ -17,14 +17,12 @@ from labelcert import (
 )
 from labelcert import exact
 from labelcert.approx import (
-    decide_approx,
     decide_approx_rows,
     hull_from_dict,
     hull_to_dict,
     interval_predict,
     save_hull,
 )
-from labelcert.bias import Interval
 from labelcert.errors import DimensionMismatch, ParseError
 from labelcert.exact import Decision, certify_from_influence, prediction_range
 from labelcert.linalg import InfluenceMatrix, influence_vector
@@ -101,31 +99,37 @@ class TestModelHull:
 
 
 class TestIntervalPredict:
+    # rows are (base, lo, hi); the hull base coefficients are (1, 3, 1)
     def test_zero_point(self):
-        assert interval_predict(_hull3(), np.zeros(3)) == Interval(0.0, 0.0)
+        np.testing.assert_array_equal(interval_predict(_hull3(), np.zeros((1, 3))),
+                                      [[0.0], [0.0], [0.0]])
 
     def test_unit_vector_selects_coordinate(self):
-        assert interval_predict(_hull3(), np.array([1.0, 0.0, 0.0])) == Interval(-2.0, 4.0)
+        np.testing.assert_array_equal(interval_predict(_hull3(), [[1.0, 0.0, 0.0]]),
+                                      [[1.0], [-2.0], [4.0]])
 
     def test_mixed_signs(self):
-        assert interval_predict(_hull3(), np.array([1.0, 1.0, -1.0])) == Interval(-6.0, 12.0)
+        np.testing.assert_array_equal(interval_predict(_hull3(), [[1.0, 1.0, -1.0]]),
+                                      [[3.0], [-6.0], [12.0]])
 
     def test_dimension_mismatch(self):
-        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
+        for bad in (np.ones(3), np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
             with pytest.raises(DimensionMismatch):
                 interval_predict(_hull3(), bad)
 
-    def test_block_rows_equal_single_points(self, rng):
+    def test_block_rows_equal_single_points(self, rng, monkeypatch):
         C = rng.normal(size=(3, 9))
         hull = model_hull(InfluenceMatrix(C, 0.0), rng.normal(size=9),
                           BiasSpec(random_delta(rng, 9), 2))
         X = rng.normal(size=(5, 3))
-        lo, hi = interval_predict(hull, X)
-        assert lo.shape == hi.shape == (5,)
+        monkeypatch.setattr(exact, "ELEMS", 2 * 3)  # blocks of 2, 2 and 1 rows
+        base, lo, hi = interval_predict(hull, X)
+        assert base.shape == lo.shape == hi.shape == (5,)
         for i, x in enumerate(X):
-            assert interval_predict(hull, x) == Interval(lo[i], hi[i])
-        lo, hi = interval_predict(hull, np.empty((0, 3)))
-        assert lo.shape == hi.shape == (0,)
+            np.testing.assert_array_equal(interval_predict(hull, x[None]),
+                                          [[base[i]], [lo[i]], [hi[i]]])
+        base, lo, hi = interval_predict(hull, np.empty((0, 3)))
+        assert base.shape == lo.shape == hi.shape == (0,)
 
     def test_dominates_exact_range(self, rng):
         for _ in range(30):
@@ -136,10 +140,10 @@ class TestIntervalPredict:
             x = rng.normal(size=3)
             z = influence_vector(x, influence)
             exact = prediction_range(z, ds.y, spec).interval
-            loose = interval_predict(hull, x)
+            _, lo, hi = interval_predict(hull, x[None])
             slack = 1e-12 * (1.0 + abs(exact.lo) + abs(exact.hi))
-            assert loose.lo <= exact.lo + slack
-            assert loose.hi >= exact.hi - slack
+            assert lo[0] <= exact.lo + slack
+            assert hi[0] >= exact.hi - slack
 
 
 class TestCertifyApprox:
@@ -148,7 +152,7 @@ class TestCertifyApprox:
         _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 1.0), 0))
         for eps in (0.0, 0.1, 5.0):
-            assert certify_approx(hull, rng.normal(size=3), eps).certified
+            assert certify_approx(hull, rng.normal(size=3), eps) is True
 
     def test_certified_implies_exact_robust(self, rng):
         certified_seen = 0
@@ -159,7 +163,7 @@ class TestCertifyApprox:
             hull = model_hull(influence, ds.y, spec)
             x = rng.normal(size=3)
             eps = rng.uniform(0.0, 3.0)
-            if certify_approx(hull, x, eps).certified:
+            if certify_approx(hull, x, eps):
                 certified_seen += 1
                 z = influence_vector(x, influence)
                 assert certify_from_influence(z, ds.y, spec, eps).robust
@@ -178,7 +182,7 @@ class TestCertifyApprox:
         exact = certify_from_influence(z, ds.y, spec, epsilon=0.01)
         loose = certify_approx(hull, x, epsilon=0.01)
         assert exact.robust
-        assert not loose.certified
+        assert loose is False
 
 
 class TestDecideApproxRows:
@@ -190,7 +194,7 @@ class TestDecideApproxRows:
         monkeypatch.setattr(exact, "ELEMS", 2 * 3)  # blocks of 2, 2, 2 and 1 rows
         for decision in (Decision.band(1.5), Decision.threshold()):
             rows = decide_approx_rows(hull, X, decision)
-            single = [decide_approx(hull, x, decision).certified for x in X]
+            single = [decide_approx_rows(hull, x[None], decision)[0] for x in X]
             np.testing.assert_array_equal(rows, np.array(single, dtype=bool))
         assert decide_approx_rows(hull, np.empty((0, 3)), decision).shape == (0,)
 
@@ -203,13 +207,46 @@ class TestDecideApproxRows:
                 decide_approx_rows(hull, bad, Decision.threshold())
 
 
+class TestBoundarySoundness:
+    """No row is approx-certified and exact-rejected, with the band radius placed on
+    exact's own reach, where rounding decides the verdicts."""
+
+    def test_radii_at_exact_reach(self):
+        rng = np.random.default_rng(18)
+        checked = certified = 0
+        for _ in range(150):
+            m = int(rng.integers(1, 9))
+            lam = float(rng.choice([0.0, 0.1, 1.0]))
+            n = int(rng.integers(max(4, m + 1), 60))
+            ds = random_dataset(rng, n=n, m=m)
+            spec = BiasSpec(random_delta(rng, n), int(rng.integers(0, n + 1)))
+            _, influence = fit(ds, lam)
+            hull = model_hull(influence, ds.y, spec)
+            X = rng.normal(size=(12, m))
+            base, lo, hi = exact.ranges(influence.values, ds.y, spec, X)
+            decisions = [Decision.band(r) for r in (np.max(hi - base), np.max(base - lo), 0.0)]
+            decisions.append(Decision.threshold())
+            rows = [(X, d, slice(None)) for d in decisions]
+            for i in range(len(X)):  # each row at its own reach, and just inside it
+                up, down = hi[i] - base[i], base[i] - lo[i]
+                for r in (up, down, (1.0 - 1e-12) * max(up, down)):
+                    rows.append((X[i : i + 1], Decision.band(r), slice(i, i + 1)))
+            for block, decision, part in rows:
+                approx = decide_approx_rows(hull, block, decision)
+                robust = decision.keeps(base[part], lo[part], hi[part])
+                assert not (approx & ~robust).any()
+                checked += approx.size
+                certified += int(approx.sum())
+        assert checked == 150 * 12 * (4 + 3) and certified > 0
+
+
 class TestCertifyApproxClassification:
     def test_threshold_sides(self):
         hull = _hull3()
         # x chosen so the base prediction is far above 0.5 but the hull crosses it
         x = np.array([1.0, 0.0, 0.0])
         verdict = certify_approx_classification(hull, x)
-        assert not verdict.certified  # hull coordinate [-2, 4] spans 0.5
+        assert verdict is False  # hull coordinate [-2, 4] spans 0.5
 
     def test_certified_when_interval_clears_threshold(self, rng):
         ds = random_dataset(rng, n=8, m=2, binary=True)
@@ -217,7 +254,7 @@ class TestCertifyApproxClassification:
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 0.0), 0))
         x = rng.normal(size=2)
         verdict = certify_approx_classification(hull, x)
-        assert verdict.certified  # degenerate hull: nothing can move
+        assert verdict is True  # degenerate hull: nothing can move
 
 
 class TestHullSerialization:

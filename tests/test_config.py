@@ -268,6 +268,14 @@ class TestBuildDelta:
         with pytest.raises(ParseError, match="2 intervals for 3 dataset rows"):
             build_delta(config, self._train())
 
+    def test_file_refuses_non_finite_bounds(self, tmp_path):
+        path = tmp_path / "delta.csv"
+        path.write_text("lo,hi\n-1,1\nnan,0\n0,3\n", encoding="utf-8")
+        config = ExperimentConfig(task="regression", epsilon=1.0,
+                                  bias_kind="file", bias_file=str(path))
+        with pytest.raises(ParseError, match="^row 3, column 'lo': cannot parse 'nan'"):
+            build_delta(config, self._train())
+
     def test_build_spec_resolves_budget(self):
         config = ExperimentConfig(task="classification", budgets=("33.4%",))
         train = self._train()

@@ -98,10 +98,11 @@ class TestLoadCsv:
                       DatasetSchema(label="target", features=("a",)))
         np.testing.assert_array_equal(ds.X[:, 0], [float(cell) for cell in cells])
         np.testing.assert_array_equal(ds.y, [i % 2 for i in range(len(cells))])
-        # non-finite cells parse, and the dataset then refuses them
-        with pytest.raises(ValueError, match="non-finite"):
-            load_csv(_write(tmp_path, "a,target\n1,0\nnan,1\n"),
-                     DatasetSchema(label="target", features=("a",)))
+        # non-finite cells parse but are refused, named by row and column
+        for text, where in (("a,target\n1,0\nnan,1\n", "row 3, column 'a'"),
+                            ("a,target\n1,0\n2,1\n3, inf\n", "row 4, column 'target'")):
+            with pytest.raises(NonNumericValue, match=rf"^{where}: cannot parse"):
+                load_csv(_write(tmp_path, text), DatasetSchema(label="target", features=("a",)))
 
     def test_categorical_and_group_columns_beside_numeric_ones(self, tmp_path):
         path = _write(tmp_path, "a,color,target,race\n1.25,B,0,X\n-2,A,1,Y\n3,B,1,X\n")
@@ -268,10 +269,14 @@ class TestDeltaCsv:
         np.testing.assert_array_equal(hi, [0.0, 2.5])
 
     def test_cells_parse_as_python_float(self, tmp_path):
-        path = _write(tmp_path, "lo,hi\nnan, inf \n-inf,1e-3\n", name="delta.csv")
+        path = _write(tmp_path, "lo,hi\n-0, 2.5 \n-1e-3,+1\n", name="delta.csv")
         lo, hi = read_delta_csv(path)
-        np.testing.assert_array_equal(lo, [float("nan"), float("-inf")])
-        np.testing.assert_array_equal(hi, [float("inf"), 1e-3])
+        np.testing.assert_array_equal(lo, [-0.0, -1e-3])
+        np.testing.assert_array_equal(hi, [2.5, 1.0])
+        # non-finite bounds parse but are refused, named by row and column
+        path = _write(tmp_path, "lo,hi\n-1,0\n0,1\nnan, inf \n", name="delta.csv")
+        with pytest.raises(NonNumericValue, match=r"^row 4, column 'lo': cannot parse 'nan'"):
+            read_delta_csv(path)
 
     def test_bad_cell_named_by_row_and_column(self, tmp_path):
         path = _write(tmp_path, "lo,hi\n-1,0\n0,high\n", name="delta.csv")

@@ -20,7 +20,7 @@ from labelcert import (
     uniform_delta,
 )
 from labelcert import exact, harness
-from labelcert.approx import decide_approx, model_hull
+from labelcert.approx import model_hull
 from labelcert.bias import contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
@@ -129,7 +129,7 @@ class TestBlockVerdicts:
         approx_block = harness.decide_approx_rows(hull, X_test, decision)
         exact_single = [decide_exact(x @ influence.values, ds.y, spec, decision).robust
                         for x in X_test]
-        approx_single = [decide_approx(hull, x, decision).certified for x in X_test]
+        approx_single = [harness.decide_approx_rows(hull, x[None], decision)[0] for x in X_test]
         assert exact_block.dtype == approx_block.dtype == bool
         np.testing.assert_array_equal(exact_block, np.array(exact_single, dtype=bool))
         np.testing.assert_array_equal(approx_block, np.array(approx_single, dtype=bool))
