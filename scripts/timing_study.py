@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Wall-clock comparison of the two certifiers as the test set grows.
 
-The exact certifier re-optimizes per test point; the hull certifier pays a
+The exact certifier selects over every training label for each test point
+that its rounding-safe screen does not settle; the hull certifier pays a
 one-time hull build and then costs one m-wide range per point.
 """
 

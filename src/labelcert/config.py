@@ -186,7 +186,8 @@ def resolve_budget(entry, train_size: int) -> int:
                 pct = math.nan
             if not (math.isfinite(pct) and pct >= 0):
                 raise ValueError(f"budget entry {entry!r} must be a finite percentage >= 0")
-            count = int(pct / 100.0 * train_size + 0.5)
+            # a huge percentage overflows to inf; clamped, it fails the size check below
+            count = int(min(pct / 100.0 * train_size + 0.5, train_size + 1))
             if pct > 0:
                 count = max(count, 1)
         else:

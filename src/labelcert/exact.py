@@ -6,7 +6,10 @@ budget is a closed interval whose endpoints are attained by moving the
 budgeted number of highest-impact labels to interval endpoints.  `ranges`
 computes that interval for a whole block of functionals at once: one
 in-place partition (introselect) per row selects the top-budget impacts,
-and only those are sorted.  Every verdict takes its interval from it.
+and only those are sorted.  `verdicts` decides a whole budget grid from the
+same blocks and the same sums: it skips the rows that a rounding-safe bound
+already settles, selects toward finite decision limits only, and partitions
+each remaining row once, at the largest budget.
 The smallest budget that breaks robustness comes from a cumsum over one
 functional's sorted gain values.  Witnesses of each end (attained up to
 rounding), the breaking label vector and fixed-size attacks all move a
@@ -133,9 +136,72 @@ class MinFlipsResult:
     side: str  # "upper" or "lower"
 
 
-# Float64 elements per block of work (1 MiB): `ranges` handles
+# Float64 elements per block of work (1 MiB): `ranges` and `verdicts` handle
 # max(1, ELEMS // n) rows of n values at a time.
 ELEMS = 1 << 17
+
+
+def _layout(Z, y, n: int, X):
+    """Checked float Z and y, the base values (or a buffer for them when X is given)
+    and the rows per block."""
+    Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
+    points = Z.shape[:1] if X is None else np.shape(X)[1:]
+    if Z.ndim != 2 or Z.shape[1] != n or y.shape != (n,) or points != Z.shape[:1]:
+        raise DimensionMismatch(f"functionals {Z.shape}, labels {y.shape}, spec length {n}")
+    k = len(Z if X is None else X)
+    base = Z @ y if X is None else np.empty(k)
+    return Z, y, base, max(1, min(k, ELEMS // n))
+
+
+def _blocks(Z, y, X, base, rows: int, work: np.ndarray):
+    """Yield `(part, block)` for each slice `part` of `rows` consecutive functionals.
+
+    `block` is rows `part` of Z, or of X @ Z formed in `work`, where it lives
+    until the caller writes to `work`; `base[part]` then holds the block's
+    values at y.
+    """
+    for start in range(0, len(base), rows):
+        part = slice(start, start + rows)
+        if X is None:
+            yield part, Z[part]
+        else:
+            block = np.matmul(X[part], Z, out=work[: min(rows, len(base) - start)])
+            np.matmul(block, y, out=base[part])
+            yield part, block
+
+
+def _faces(delta: PerturbationVector):
+    """`(sides, moves)` pairs: each label's gain toward `sides` is max over `moves` of z * move.
+
+    With symmetric intervals one gain |z| * hi serves both ends; otherwise the
+    lower side's gains are the upper side's under the mirrored intervals.
+    """
+    if np.array_equal(delta.lo, -delta.hi):
+        return ((("upper", "lower"), (delta.hi,)),)
+    return (("upper",), (delta.hi, delta.lo)), (("lower",), (-delta.hi, -delta.lo))
+
+
+def _gains(z: np.ndarray, moves, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Gains of the rows of z under one face's `moves`, written to `out` (`tmp`: scratch)."""
+    if len(moves) == 1:
+        return np.multiply(np.abs(z, out=out), moves[0], out=out)
+    np.multiply(z, moves[1], out=tmp)
+    return np.maximum(np.multiply(z, moves[0], out=out), tmp, out=out)
+
+
+def _top_sums(gain: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
+    """Running sums of each row's K largest gains, largest first, into `out` (r, K).
+
+    `gain` (r, n) is partitioned in place (introselect) and only the K
+    largest are sorted, then added one at a time: the order and sequential
+    sum of min-flips' cumsum, so `out[:, b - 1]` depends on the b largest
+    values only and equals what a selection at budget b alone would give.
+    """
+    n = gain.shape[1]
+    gain.partition(n - K, axis=1)
+    top = gain[:, n - K :]
+    top.sort(axis=1)
+    return np.cumsum(top[:, ::-1], axis=1, out=out)
 
 
 def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = None):
@@ -144,61 +210,96 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     The functionals are the rows of Z, or of X @ Z (formed one block of rows
     at a time) when X is given.  Returns arrays (base, lo, hi): each row's
     value at y, plus the sum of its `budget` largest decreases or increases.
-    An in-place partition (introselect) per row selects them.  The selected
-    impacts are then sorted and added one at a time, largest first: the
-    order and the sequential sum of min-flips' cumsum, so an end depends on
-    the selected values only.  The work buffers are allocated once per call.
+    An in-place partition per row selects them and `_top_sums` adds them,
+    largest first.  The work buffers are allocated once per call.
 
-    Every interval in the package comes from here: exact verdicts (the rows
-    of X @ C over the training labels), hull coordinates (the rows of C) and
-    hull certificates (test points over the hull box, see
-    `approx.interval_predict`).
+    Every interval in the package comes from here: hull coordinates (the rows
+    of C), hull certificates (test points over the hull box, see
+    `approx.interval_predict`) and, through `verdicts`, which shares its
+    blocks and its selection, exact verdicts.
     """
-    Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
     n, budget = spec.n, spec.budget
-    points = Z.shape[:1] if X is None else np.shape(X)[1:]
-    if Z.ndim != 2 or Z.shape[1] != n or y.shape != (n,) or points != Z.shape[:1]:
-        raise DimensionMismatch(f"functionals {Z.shape}, labels {y.shape}, spec length {n}")
-    k = len(Z if X is None else X)
-    base = Z @ y if X is None else np.empty(k)
-    lo, hi = np.empty(k), np.empty(k)
-    # With symmetric intervals a label's largest decrease is minus its
-    # largest increase, so one selection serves both ends.
-    symmetric = np.array_equal(spec.delta.lo, -spec.delta.hi)
-    rows = max(1, min(k, ELEMS // n))
-    increase, decrease, work = (np.empty((rows, n)) for _ in range(3))
-    for start in range(0, k, rows):
-        part, r = slice(start, start + rows), min(rows, k - start)
-        if X is None:
-            block = Z[part]
-        else:  # the product lives in `work` until its last use below
-            block = np.matmul(X[part], Z, out=work[:r])
-            np.matmul(block, y, out=base[part])
+    Z, y, base, rows = _layout(Z, y, n, X)
+    lo, hi = np.empty_like(base), np.empty_like(base)
+    faces = _faces(spec.delta)
+    gain, tmp, work = (np.empty((rows, n)) for _ in range(3))
+    for part, block in _blocks(Z, y, X, base, rows, work):
         if not budget:
             continue
-        up, down = increase[:r], decrease[:r]
-        if symmetric:
-            np.multiply(np.abs(block, out=up), spec.delta.hi, out=up)
-        else:
-            np.multiply(block, spec.delta.hi, out=up)
-            other = np.multiply(block, spec.delta.lo, out=work[:r])
-            np.minimum(up, other, out=down)
-            np.maximum(up, other, out=up)
-            down.partition(budget - 1, axis=1)
-            low = down[:, :budget]
-            low.sort(axis=1)  # ascending: the largest decrease first
-            bottom = np.cumsum(low, axis=1, out=work[:r, :budget])[:, -1]
-            np.add(base[part], bottom, out=lo[part])
-        up.partition(n - budget, axis=1)
-        high = up[:, n - budget :]
-        high.sort(axis=1)
-        top = np.cumsum(high[:, ::-1], axis=1, out=work[:r, :budget])[:, -1]
-        np.add(base[part], top, out=hi[part])
-        if symmetric:
-            np.subtract(base[part], top, out=lo[part])
+        r = len(block)
+        for sides, moves in faces:
+            top = _top_sums(_gains(block, moves, gain[:r], tmp[:r]), budget,
+                            tmp[:r, :budget])[:, -1]
+            if "upper" in sides:
+                np.add(base[part], top, out=hi[part])
+            if "lower" in sides:
+                np.subtract(base[part], top, out=lo[part])
     if not budget:
         lo[:], hi[:] = base, base
     return base, lo, hi
+
+
+def verdicts(Z, y, delta: PerturbationVector, budgets, decision: Decision, X=None) -> np.ndarray:
+    """Exact verdicts of many linear functionals at every budget of a grid.
+
+    Returns a bool array (len(budgets), k) equal, bit for bit, to
+    `decision.keeps(*ranges(Z, y, BiasSpec(delta, b), X))` for each budget b.
+    The blocks and their base values are those of `ranges`.  In each block:
+
+    - Screen.  Let K be the largest budget, w the widest move (the largest
+      -lo or hi), and, for a row z, M = fl(max|z| * w) and
+      B = fl(fl(K * M) * (1 + 8(K + 1) u)) with u = 2**-53.  Every gain the
+      kernel selects is a rounded product fl(|z_i| * |move_i|) <= M, because
+      rounding is monotone.  A sequential float sum of at most K values in
+      [0, M] is at most K * M * (1 + u)**K (Higham, Accuracy and Stability
+      of Numerical Algorithms, ch. 4; a sum that stays subnormal is exact),
+      which B exceeds despite its own two roundings.  The kernel's ends are
+      fl(base + s) and fl(base - s') with s, s' <= B at every budget, so,
+      by monotonicity again, a row with fl(base + B) <= high and
+      fl(base - B) >= low, (low, high) being the decision's limits at base,
+      keeps the decision at every budget.  It is settled without a partition.
+    - One side.  A remaining row is selected only toward the sides whose
+      limit is finite: an infinite limit keeps every non-NaN end.  Under the
+      threshold rule that is one side per row.
+    - One partition per grid.  Each remaining row is partitioned once at K;
+      `_top_sums` sorts its K largest gains and one cumsum gives every
+      budget's sum, the values `ranges` adds in the same order.
+    """
+    budgets = np.array([BiasSpec(delta, b).budget for b in budgets], dtype=np.intp)
+    n, K = len(delta), int(budgets.max(initial=0))
+    Z, y, base, rows = _layout(Z, y, n, X)
+    faces = _faces(delta)
+    widest = max(float(np.max(delta.hi)), -float(np.min(delta.lo)))
+    slack = 1.0 + 8 * (K + 1) * 2.0**-53
+    out = np.empty((budgets.size, base.size), dtype=bool)
+    gain, tmp, work = (np.empty((rows, n)) for _ in range(3))
+    sums = np.zeros((rows, K + 1))  # column b: the sum of the b largest gains
+    for part, block in _blocks(Z, y, X, base, rows, work):
+        at = base[part]
+        low, high = decision.limits(at)
+        reach = K * (np.maximum(block.max(axis=1), -block.min(axis=1)) * widest) * slack
+        settled = (at + reach <= high) & (at - reach >= low)
+        out[:, part] = settled
+        todo = np.flatnonzero(~settled)
+        if not todo.size:
+            continue
+        at, low, high = at[todo], low[todo], high[todo]
+        keep = np.ones((budgets.size, todo.size), dtype=bool)
+        for sides, moves in faces:
+            # Toward an infinite limit every non-NaN end keeps the decision.
+            use = slice(None) if len(sides) == 2 else ~np.isinf(high if "upper" in sides else low)
+            picked = todo[use]
+            table = sums[: picked.size]
+            if K and picked.size:  # mode "clip" gathers straight into the buffer
+                gathered = np.take(block, picked, axis=0, out=gain[: picked.size], mode="clip")
+                _top_sums(_gains(gathered, moves, gathered, tmp[: picked.size]), K, table[:, 1:])
+            reached = table[:, budgets].T
+            if "upper" in sides:
+                keep[:, use] &= at[use] + reached <= high[use]
+            if "lower" in sides:
+                keep[:, use] &= low[use] <= at[use] - reached
+        out[:, part.start + todo] = keep
+    return out
 
 
 def gains(z: np.ndarray, delta: PerturbationVector, side: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     NoAttackExists,
     TooFewRows,
 )
-from .exact import Decision, fixed_attack, min_flips_from_influence, ranges
+from .exact import Decision, fixed_attack, min_flips_from_influence, verdicts
 from .linalg import Dataset, InfluenceMatrix, ModelCoefficients, fit, influence_vector, predict
 
 
@@ -51,40 +51,52 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
+def _one_delta(specs) -> PerturbationVector:
+    """The perturbation vector every spec of a budget grid shares."""
+    first, *rest = (spec.delta for spec in specs.values())
+    for delta in rest:
+        if not (np.array_equal(delta.lo, first.lo) and np.array_equal(delta.hi, first.hi)):
+            raise ValueError("every budget of a grid must share one perturbation vector")
+    return first
+
+
 def certify_grid(influence, train_y, X, specs, decision, methods=("exact", "approx")):
     """Certify the rows of X from one fit at every named budget, by each method.
 
-    `specs` maps the caller's budget names to BiasSpecs.  exact: one
-    range-kernel call per budget over blocks of X . C; approx: one coefficient
-    hull per budget, and one more range-kernel call over X and the hull box.
-    Returns `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array
-    over the rows of X, and `seconds[method]` the wall time of that method,
-    hull builds included.  When both methods run, every approx certificate is
+    `specs` maps the caller's budget names to BiasSpecs over one perturbation
+    vector.  exact: one `verdicts` call for the whole grid, over blocks of
+    X . C, which partitions each row once at the largest budget and skips the
+    rows a rounding-safe bound already settles; approx: one coefficient hull
+    per budget, and one range-kernel call over X and the hull box.  Returns
+    `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array over
+    the rows of X, and `seconds[method]` the wall time of that method, hull
+    builds included.  When both methods run, every approx certificate is
     checked against exact, point by point.
     """
-    verdicts, seconds = {}, {}
+    flags, seconds = {}, {}
     for method in methods:
         start = time.perf_counter()
         if method == "exact":
-            verdicts[method] = {name: decision.keeps(*ranges(influence.values, train_y, spec, X))
-                                for name, spec in specs.items()}
+            grid = verdicts(influence.values, train_y, _one_delta(specs),
+                            [spec.budget for spec in specs.values()], decision, X) if specs else ()
+            flags[method] = dict(zip(specs, grid))
         elif method == "approx":
-            verdicts[method] = {
+            flags[method] = {
                 name: decide_approx_rows(model_hull(influence, train_y, spec), X, decision)
                 for name, spec in specs.items()
             }
         else:
             raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
         seconds[method] = time.perf_counter() - start
-    if {"exact", "approx"} <= verdicts.keys():
+    if {"exact", "approx"} <= flags.keys():
         for name in specs:
-            unsound = np.flatnonzero(verdicts["approx"][name] & ~verdicts["exact"][name])
+            unsound = np.flatnonzero(flags["approx"][name] & ~flags["exact"][name])
             if unsound.size:
                 raise RuntimeError(
                     f"soundness violation: approx certified test row {unsound[0]}, "
                     f"which exact finds non-robust, at budget {name}"
                 )
-    return verdicts, seconds
+    return flags, seconds
 
 
 def _fraction(verdicts: np.ndarray) -> float:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -168,7 +169,10 @@ def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, Influenc
     step = max(1, SOLVE_ELEMS // dataset.m)
     for start in range(0, dataset.n, step):
         rows = slice(start, start + step)
-        C[:, rows] = cho_solve(factor, dataset.X[rows].T, check_finite=False)
+        # LAPACK directly: `cho_solve`'s checks cost more than these small solves
+        C[:, rows], info = dpotrs(factor[0], dataset.X[rows].T, lower=1)
+        if info:
+            raise RuntimeError(f"dpotrs failed with info={info}")
     return ModelCoefficients(C @ dataset.y, lam), InfluenceMatrix(C, lam)
 
 

@@ -391,6 +391,18 @@ class TestErrors:
         assert f"budget entry '{entry}'" in capsys.readouterr().err
         assert not (out / "hull.json").exists()
 
+    def test_overflowing_percentage_budget_returns_error_code(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        text = config.read_text().replace('budgets = ["0.5%", "2%"]', 'budgets = ["1e308%"]')
+        config.write_text(text, encoding="utf-8")
+        assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "budget '1e308%' exceeds the" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        code = main(["hull", "--config", str(config), "--budget", "1e308%", "--out-dir", str(out)])
+        assert code == 2
+        assert "budget '1e308%' exceeds the" in capsys.readouterr().err
+        assert not (out / "hull.json").exists()
+
     @pytest.mark.parametrize("command", ["certify", "sweep"])
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_bad_accuracy_tolerance_returns_error_code(self, workspace, command, tolerance,

@@ -221,6 +221,12 @@ class TestResolveBudget:
         with pytest.raises(ValueError, match=f"budget entry '{entry}'"):
             resolve_budget(entry, 100)
 
+    @pytest.mark.parametrize("entry", ["1e308%", "1.7976931348623157e308%", "101%"])
+    def test_percentage_past_the_training_size_rejected(self, entry):
+        # 1e308% of 3200 overflows to inf before rounding
+        with pytest.raises(ValueError, match=f"budget '{entry}' exceeds the 3200 training labels"):
+            resolve_budget(entry, 3200)
+
 
 class TestBuildDelta:
     def _train(self):

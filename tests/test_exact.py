@@ -26,6 +26,7 @@ from labelcert.exact import (
     min_flips_from_influence,
     prediction_range,
     ranges,
+    verdicts,
 )
 from conftest import dyadic, dyadic_instances, random_dataset, random_delta, random_instance
 from oracle import (
@@ -357,6 +358,161 @@ class TestRanges:
             ranges(np.ones(5), y, spec)
         with pytest.raises(DimensionMismatch):
             ranges(np.ones((2, 5)), y, spec, np.ones((3, 3)))
+
+
+def per_budget(Z, y, delta, budgets, decision, X=None):
+    """Reference verdicts: one `ranges` call per budget, judged by `decision.keeps`."""
+    k = len(Z if X is None else X)
+    rows = [decision.keeps(*ranges(Z, y, BiasSpec(delta, int(b)), X)) for b in budgets]
+    return np.array(rows, dtype=bool).reshape(len(budgets), k)
+
+
+def assert_grid_matches(Z, y, delta, budgets, decision, X=None):
+    got = verdicts(Z, y, delta, budgets, decision, X)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, per_budget(Z, y, delta, budgets, decision, X))
+    return got
+
+
+def reach_radii(Z, y, delta, budgets):
+    """Band radii at each row's exact upward and downward reach, and one float step below."""
+    radii = {0.0}
+    for b in budgets:
+        base, lo, hi = ranges(Z, y, BiasSpec(delta, int(b)))
+        for r in np.concatenate([hi - base, base - lo]):
+            radii |= {float(r), float(np.nextafter(r, 0.0))} if r >= 0 else set()
+    return sorted(radii)
+
+
+@st.composite
+def grid_instances(draw):
+    """(Z, y, delta, budgets, X) with non-dyadic values; symmetric, asymmetric or
+    partly zero-width intervals; and an unsorted budget grid with repeats."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "zero-width"]))
+    if kind == "symmetric":
+        width = rng.uniform(0.0, 1.5, n)
+        delta = PerturbationVector(-width, width)
+    else:
+        delta = random_delta(rng, n)
+        if kind == "zero-width":
+            frozen = rng.random(n) < 0.5
+            delta = PerturbationVector(np.where(frozen, 0.0, delta.lo),
+                                       np.where(frozen, 0.0, delta.hi))
+    m, k = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    C = rng.normal(0.0, 1.0 / n, (m, n))
+    X = rng.normal(size=(k, m))
+    y = rng.normal(0.0, 2.0, n)
+    budgets = draw(st.lists(st.integers(0, n), min_size=1, max_size=5))
+    return X @ C, y, delta, budgets, (C, X)
+
+
+class TestVerdicts:
+    """`verdicts` equals one `decision.keeps(*ranges(...))` per budget, bit for bit."""
+
+    @given(grid_instances(), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_budget_ranges(self, instance, epsilon, factored):
+        Z, y, delta, budgets, (C, X) = instance
+        for decision in (Decision.threshold(), Decision.band(epsilon)):
+            if factored:
+                assert_grid_matches(C, y, delta, budgets, decision, X)
+            else:
+                assert_grid_matches(Z, y, delta, budgets, decision)
+
+    @given(grid_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_band_radii_at_each_rows_reach(self, instance):
+        # the band's edge is a row's exact end, or one float step inside it
+        Z, y, delta, budgets, _ = instance
+        for radius in reach_radii(Z, y, delta, budgets):
+            assert_grid_matches(Z, y, delta, budgets, Decision.band(radius))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_equal_magnitude_rows(self, symmetric):
+        # every gain equals the screen's M, the tightest case for its bound K * M
+        n = 37
+        rng = np.random.default_rng(5)
+        signs = np.where(rng.random((6, n)) < 0.5, -1.0, 1.0)
+        Z = signs * np.array([[0.1], [1 / 3], [0.7], [1e-3], [2.0**-20], [3.3]])
+        y = rng.normal(size=n)
+        delta = uniform_delta(n, 0.3) if symmetric else PerturbationVector(
+            np.full(n, -0.3), np.full(n, 0.3 * (1 - 2.0**-30)))
+        budgets = [n, 1, 17, 36]
+        seen = set()
+        for radius in reach_radii(Z, y, delta, budgets):
+            seen |= set(assert_grid_matches(Z, y, delta, budgets, Decision.band(radius)).flat)
+        assert seen == {True, False}
+        assert_grid_matches(Z, y, delta, budgets, Decision.threshold())
+
+    def test_base_exactly_half(self):
+        # base 0.5 is class 1: any decrease breaks it, rows without one keep
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        Z = np.array([[0.5, 0.0, 0.0, 0.0],  # decreases through label 0
+                      [0.25, 0.0, 0.25, 0.0],
+                      [0.5, 0.0, 0.0, 0.1],  # label 3 can only rise: pushes up
+                      [0.0, 0.5, 0.5, 0.0]])
+        assert (Z @ y == 0.5).all()
+        delta = classification_delta(y)
+        got = assert_grid_matches(Z, y, delta, [0, 1, 2, 4], Decision.threshold())
+        np.testing.assert_array_equal(got[0], [True] * 4)
+        np.testing.assert_array_equal(got[1], [False, False, False, False])
+        # labels 0 and 2 frozen, label 3 may only rise
+        frozen = PerturbationVector(np.array([0.0, -1, 0, 0]), np.array([0.0, 1, 0, 1]))
+        kept = assert_grid_matches(Z[:3], y, frozen, [4], Decision.threshold())
+        np.testing.assert_array_equal(kept, [[True, True, True]])
+
+    @pytest.mark.parametrize("budgets", [[0], [12], [5, 0, 12, 5, 1, 0], []])
+    def test_budget_grids(self, rng, budgets):
+        n = 12
+        _, y, spec = random_instance(rng, n, 0)
+        Z = rng.normal(size=(7, n))
+        for decision in (Decision.threshold(), Decision.band(0.5), Decision.band(0.0)):
+            got = assert_grid_matches(Z, y, spec.delta, budgets, decision)
+            assert got.shape == (len(budgets), 7)
+
+    def test_no_rows(self, rng):
+        _, y, spec = random_instance(rng, 5, 0)
+        for decision in (Decision.threshold(), Decision.band(0.1)):
+            assert verdicts(np.empty((0, 5)), y, spec.delta, [0, 2], decision).shape == (2, 0)
+            assert verdicts(np.ones((2, 5)), y, spec.delta, [3], decision,
+                            np.empty((0, 2))).shape == (1, 0)
+
+    def test_budgets_and_shapes_checked(self, rng):
+        _, y, spec = random_instance(rng, 5, 0)
+        with pytest.raises(ValueError, match="exceeds"):
+            verdicts(np.ones((2, 5)), y, spec.delta, [1, 6], Decision.threshold())
+        with pytest.raises(ValueError, match="nonnegative"):
+            verdicts(np.ones((2, 5)), y, spec.delta, [-1], Decision.threshold())
+        with pytest.raises(DimensionMismatch):
+            verdicts(np.ones((2, 4)), y, spec.delta, [1], Decision.threshold())
+
+    @pytest.mark.parametrize("epsilon, partitioned", [(50.0, []), (0.0, [3, 3, 3, 2]),
+                                                      (0.35, [3, 2, 1, 2])])
+    def test_blocks_settled_none_or_mixed(self, epsilon, partitioned, monkeypatch):
+        # 3-row blocks that the screen settles entirely, not at all, or in part:
+        # rows 5-7 barely move, so a radius of 0.35 settles them and no other row
+        n, k = 24, 11
+        rng = np.random.default_rng(8)
+        C = rng.normal(0.0, 0.2, (3, n))
+        X = rng.normal(size=(k, 3))
+        X[5:8] *= 1e-6
+        y = rng.normal(size=n)
+        delta, budgets = uniform_delta(n, 0.5), [2, 0, 6]
+        monkeypatch.setattr(exact, "ELEMS", 3 * n)
+        decision = Decision.band(epsilon)
+        expected = per_budget(C, y, delta, budgets, decision, X)
+        selected = []  # rows partitioned per block
+        top_sums = exact._top_sums
+
+        def recording(gain, K, out):
+            selected.append(len(gain))
+            return top_sums(gain, K, out)
+
+        monkeypatch.setattr(exact, "_top_sums", recording)
+        np.testing.assert_array_equal(verdicts(C, y, delta, budgets, decision, X), expected)
+        assert selected == partitioned
 
 
 class TestCertifyRegression:

@@ -21,7 +21,7 @@ from labelcert import (
 )
 from labelcert import exact, harness
 from labelcert.approx import model_hull
-from labelcert.bias import contains
+from labelcert.bias import PerturbationVector, contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
@@ -97,6 +97,23 @@ class TestCertifyGrid:
                 np.testing.assert_array_equal(verdicts[method][name], rate.verdicts)
         assert verdicts["exact"]["none"].all()
         assert not verdicts["approx"]["wide"].all()
+
+    def test_budgets_share_one_perturbation_vector(self):
+        train, _, test = _train_test(seed=3)
+        delta = classification_delta(train.y)
+        same = PerturbationVector(delta.lo.copy(), delta.hi.copy())
+        other = PerturbationVector(delta.lo / 2, delta.hi)
+        influence = fit(train, 0.1)[1]
+        verdicts, _ = harness.certify_grid(influence, train.y, test.X,
+                                           {1: BiasSpec(delta, 1), 2: BiasSpec(same, 2)},
+                                           Decision.threshold(), ("exact",))
+        assert list(verdicts["exact"]) == [1, 2]
+        with pytest.raises(ValueError, match="share one perturbation vector"):
+            harness.certify_grid(influence, train.y, test.X,
+                                 {1: BiasSpec(delta, 1), 2: BiasSpec(other, 2)},
+                                 Decision.threshold(), ("exact",))
+        assert harness.certify_grid(influence, train.y, test.X, {}, Decision.threshold(),
+                                    ("exact",))[0] == {"exact": {}}
 
     def test_unknown_method(self):
         train, _, test = _train_test(seed=3)
