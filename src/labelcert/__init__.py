@@ -8,11 +8,11 @@ its prediction range over that box.  Both judge predictions by one `Decision`: a
 band of radius epsilon (regression) or the 0.5 threshold (classification).
 """
 
-from .approx import certify_approx, certify_approx_classification, load_hull, model_hull
+from .approx import decide_approx_rows, load_hull, model_hull
 from .bias import BiasSpec, TargetPredicate, apply_targeting, classification_delta, uniform_delta
 from .data import synth_classification, synth_demographic, with_bias_column
-from .exact import Decision, certify_classification, certify_regression, min_flips
+from .exact import Decision, decide_exact, min_flips_from_influence
 from .harness import certify_grid, group_rates, robustness_rate, timing_report
-from .linalg import Dataset, fit
+from .linalg import Dataset, fit, influence_vector
 
 __version__ = "0.1.0"

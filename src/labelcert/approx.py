@@ -94,20 +94,6 @@ def decide_approx_rows(hull: ModelHull, X: np.ndarray, decision: Decision) -> np
     return decision.keeps(*interval_predict(hull, X))
 
 
-def _certify_point(hull: ModelHull, x: np.ndarray, decision: Decision) -> bool:
-    return bool(decide_approx_rows(hull, np.asarray(x, dtype=float)[None], decision)[0])
-
-
-def certify_approx(hull: ModelHull, x: np.ndarray, epsilon: float) -> bool:
-    """Certified iff the hull's prediction interval at x (m,) fits inside the epsilon band."""
-    return _certify_point(hull, x, Decision.band(epsilon))
-
-
-def certify_approx_classification(hull: ModelHull, x: np.ndarray) -> bool:
-    """Certified iff the hull's prediction interval at x (m,) cannot cross the 0.5 threshold."""
-    return _certify_point(hull, x, Decision.threshold())
-
-
 _HULL_FORMAT = "labelcert-hull/1"
 
 
@@ -124,13 +110,13 @@ def hull_to_dict(hull: ModelHull) -> dict:
 
 
 def hull_from_dict(payload: dict) -> ModelHull:
-    """Inverse of `hull_to_dict`.  A missing or malformed key raises ParseError naming
-    it, as does anything `model_hull` never writes: an empty or unbounded interval,
-    a base coefficient outside its interval, a budget that is not a count, or a
-    fingerprint that is not a SHA-256 hex digest."""
+    """Inverse of `hull_to_dict`.  A missing or malformed key, `format` included, raises
+    ParseError naming it, as does anything `model_hull` never writes: an empty or
+    unbounded interval, a base coefficient outside its interval, a budget that is not a
+    count, or a fingerprint that is not a SHA-256 hex digest."""
     found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
     if found != _HULL_FORMAT:
-        raise ValueError(f"unrecognized hull payload format: {found!r}")
+        raise ParseError(f"unrecognized hull payload format: {found!r}")
     try:
         intervals = [Interval(*pair) for pair in payload["intervals"]]
         base = ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"])

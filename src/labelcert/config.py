@@ -10,6 +10,7 @@ flag overrides the corresponding file entry.
 from __future__ import annotations
 
 import math
+import numbers
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,28 +178,25 @@ def resolve_budget(entry, train_size: int) -> int:
     Percentages of the training size round to nearest and never collapse a
     nonzero percentage to zero labels.
     """
-    if isinstance(entry, str):
-        text = entry.strip()
-        if text.endswith("%"):
-            try:
-                pct = float(text[:-1])
-            except ValueError:
-                pct = math.nan
-            if not (math.isfinite(pct) and pct >= 0):
-                raise ValueError(f"budget entry {entry!r} must be a finite percentage >= 0")
-            # a huge percentage overflows to inf; clamped, it fails the size check below
-            count = int(min(pct / 100.0 * train_size + 0.5, train_size + 1))
-            if pct > 0:
-                count = max(count, 1)
-        else:
-            try:
-                count = int(text)
-            except ValueError:
-                raise ValueError(f"budget entry {entry!r} must be an integer or 'N%'") from None
-            if count < 0:
-                raise ValueError(f"budget must be >= 0, got {entry!r}")
+    if isinstance(entry, bool) or not isinstance(entry, (str, numbers.Integral)):
+        raise ValueError(f"budget entry {entry!r} must be an integer or 'N%'")
+    text = str(entry).strip()
+    if text.endswith("%"):
+        try:
+            pct = float(text[:-1])
+        except ValueError:
+            pct = math.nan
+        if not (math.isfinite(pct) and pct >= 0):
+            raise ValueError(f"budget entry {entry!r} must be a finite percentage >= 0")
+        # a huge percentage overflows to inf; clamped, it fails the size check below
+        count = int(min(pct / 100.0 * train_size + 0.5, train_size + 1))
+        if pct > 0:
+            count = max(count, 1)
     else:
-        count = int(entry)
+        try:
+            count = int(text)
+        except ValueError:
+            raise ValueError(f"budget entry {entry!r} must be an integer or 'N%'") from None
         if count < 0:
             raise ValueError(f"budget must be >= 0, got {entry!r}")
     if count > train_size:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bias import BiasSpec, Interval, PerturbationVector
-from .errors import DimensionMismatch, NoAttackExists, NonBinaryLabel
-from .linalg import Dataset, fit, influence_vector
+from .errors import DimensionMismatch, NoAttackExists
 
 # Binary decision threshold; a prediction of exactly 0.5 classifies as 1.
 DECISION_THRESHOLD = 0.5
@@ -406,30 +405,10 @@ def certify_from_influence(
     return decide_exact(z, y, spec, Decision.band(epsilon))
 
 
-def certify_regression(
-    x: np.ndarray, dataset: Dataset, spec: BiasSpec, epsilon: float, lam: float = 0.0
-) -> CertResult:
-    """Exact robustness verdict for a regression prediction band of radius epsilon."""
-    _, influence = fit(dataset, lam)
-    z = influence_vector(x, influence)
-    return certify_from_influence(z, dataset.y, spec, epsilon)
-
-
 def classify_from_influence(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> CertResult:
     """Decision-flip check: robust iff every reachable prediction classifies like
     the base prediction under the 0.5 threshold."""
     return decide_exact(z, y, spec, Decision.threshold())
-
-
-def certify_classification(
-    x: np.ndarray, dataset: Dataset, spec: BiasSpec, lam: float = 0.0
-) -> CertResult:
-    """Exact verdict for binary classification: can any reachable labeling flip the class?"""
-    if not np.isin(dataset.y, (0.0, 1.0)).all():
-        raise NonBinaryLabel("classification certification requires labels in {0, 1}")
-    _, influence = fit(dataset, lam)
-    z = influence_vector(x, influence)
-    return classify_from_influence(z, dataset.y, spec)
 
 
 def min_flips_from_influence(
@@ -466,16 +445,3 @@ def min_flips_from_influence(
     flips, side, gain = best
     witness = _moved(y, z, delta, side, _prefix(gain, flips))
     return MinFlipsResult(flips, witness, float(z @ witness), side)
-
-
-def min_flips(
-    x: np.ndarray,
-    dataset: Dataset,
-    delta: PerturbationVector,
-    epsilon: float,
-    lam: float = 0.0,
-) -> MinFlipsResult | None:
-    """Smallest budget at which the prediction band of radius epsilon breaks, if any."""
-    _, influence = fit(dataset, lam)
-    z = influence_vector(x, influence)
-    return min_flips_from_influence(z, dataset.y, delta, Decision.band(epsilon))

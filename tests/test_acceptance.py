@@ -14,10 +14,9 @@ from labelcert import (
     Decision,
     TargetPredicate,
     apply_targeting,
-    certify_approx,
-    certify_classification,
     certify_grid,
     classification_delta,
+    decide_approx_rows,
     fit,
     group_rates,
     model_hull,
@@ -30,7 +29,8 @@ from labelcert import (
 from labelcert.approx import interval_predict
 from labelcert.bias import contains, scale_delta
 from labelcert.data import SplitConfig, split, with_bias_column
-from labelcert.exact import certify_from_influence, gains, prediction_range
+from labelcert.exact import (certify_from_influence, classify_from_influence, gains,
+                             prediction_range)
 from labelcert.harness import export_attack
 from labelcert.linalg import InfluenceMatrix, influence_vector, predict
 from conftest import random_delta, random_instance, sample_bias_members
@@ -130,7 +130,7 @@ def test_c04_approx_never_overrules_exact():
         hull = model_hull(influence, ds.y, spec)
         x = rng.normal(size=3)
         epsilon = float(rng.uniform(0.0, 3.0))
-        if certify_approx(hull, x, epsilon):
+        if decide_approx_rows(hull, x[None], Decision.band(epsilon))[0]:
             certified += 1
             z = influence_vector(x, influence)
             assert certify_from_influence(z, ds.y, spec, epsilon).robust
@@ -146,7 +146,7 @@ def test_c04_approx_never_overrules_exact():
     x = np.array([1.0, -1.0])
     z = influence_vector(x, influence)
     assert certify_from_influence(z, ds.y, spec, 0.01).robust
-    assert not certify_approx(hull, x, 0.01)
+    assert not decide_approx_rows(hull, x[None], Decision.band(0.01))[0]
     _, lo, hi = interval_predict(hull, x[None])
     assert hi[0] - lo[0] > 0.0
     _report(f"4 (soundness one-way, {certified} certificates checked; incompleteness shown)")
@@ -183,7 +183,9 @@ def test_c06_binary_exactness():
         if trial % 2:  # targeted flips half the time
             delta = apply_targeting(delta, ds, TargetPredicate(value="a"))
         spec = BiasSpec(delta, int(rng.integers(1, min(n, 3) + 1)))
-        result = certify_classification(rng.normal(size=3), ds, spec, lam=0.3)
+        _, influence = fit(ds, 0.3)
+        z = influence_vector(rng.normal(size=3), influence)
+        result = classify_from_influence(z, ds.y, spec)
         for witness in (result.range.lower_witness, result.range.upper_witness):
             assert np.isin(witness, (0.0, 1.0)).all()
 
@@ -194,8 +196,9 @@ def test_c06_binary_exactness():
         ds = Dataset(X, y)
         spec = BiasSpec(classification_delta(y), int(rng.integers(1, 3)))
         x = rng.normal(size=2)
+        _, influence = fit(ds, 0.2)
         assert (
-            certify_classification(x, ds, spec, lam=0.2).robust
+            classify_from_influence(influence_vector(x, influence), ds.y, spec).robust
             == brute_force_classification(x, ds, spec, lam=0.2)
         )
     _report("6 (binary exactness, 200 witness + 100 oracle instances)")

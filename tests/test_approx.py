@@ -8,8 +8,6 @@ import pytest
 from labelcert import (
     BiasSpec,
     Dataset,
-    certify_approx,
-    certify_approx_classification,
     fit,
     load_hull,
     model_hull,
@@ -152,7 +150,8 @@ class TestCertifyApprox:
         _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 1.0), 0))
         for eps in (0.0, 0.1, 5.0):
-            assert certify_approx(hull, rng.normal(size=3), eps) is True
+            x = rng.normal(size=3)
+            assert decide_approx_rows(hull, x[None], Decision.band(eps)).tolist() == [True]
 
     def test_certified_implies_exact_robust(self, rng):
         certified_seen = 0
@@ -163,7 +162,7 @@ class TestCertifyApprox:
             hull = model_hull(influence, ds.y, spec)
             x = rng.normal(size=3)
             eps = rng.uniform(0.0, 3.0)
-            if certify_approx(hull, x, eps):
+            if decide_approx_rows(hull, x[None], Decision.band(eps))[0]:
                 certified_seen += 1
                 z = influence_vector(x, influence)
                 assert certify_from_influence(z, ds.y, spec, eps).robust
@@ -180,9 +179,9 @@ class TestCertifyApprox:
         x = np.array([1.0, -1.0])
         z = influence_vector(x, influence)
         exact = certify_from_influence(z, ds.y, spec, epsilon=0.01)
-        loose = certify_approx(hull, x, epsilon=0.01)
+        loose = decide_approx_rows(hull, x[None], Decision.band(0.01))
         assert exact.robust
-        assert loose is False
+        assert loose.tolist() == [False]
 
 
 class TestDecideApproxRows:
@@ -245,16 +244,16 @@ class TestCertifyApproxClassification:
         hull = _hull3()
         # x chosen so the base prediction is far above 0.5 but the hull crosses it
         x = np.array([1.0, 0.0, 0.0])
-        verdict = certify_approx_classification(hull, x)
-        assert verdict is False  # hull coordinate [-2, 4] spans 0.5
+        verdict = decide_approx_rows(hull, x[None], Decision.threshold())
+        assert verdict.tolist() == [False]  # hull coordinate [-2, 4] spans 0.5
 
     def test_certified_when_interval_clears_threshold(self, rng):
         ds = random_dataset(rng, n=8, m=2, binary=True)
         _, influence = fit(ds, 0.5)
         hull = model_hull(influence, ds.y, BiasSpec(uniform_delta(8, 0.0), 0))
         x = rng.normal(size=2)
-        verdict = certify_approx_classification(hull, x)
-        assert verdict is True  # degenerate hull: nothing can move
+        verdict = decide_approx_rows(hull, x[None], Decision.threshold())
+        assert verdict.tolist() == [True]  # degenerate hull: nothing can move
 
 
 class TestHullSerialization:
@@ -276,7 +275,7 @@ class TestHullSerialization:
         assert clone.fingerprint == hull.fingerprint
 
     def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             hull_from_dict({"format": "something-else"})
 
     def test_missing_key_is_named(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelcert import BiasSpec, Dataset, classification_delta, uniform_delta
+from labelcert import BiasSpec, Dataset, classification_delta, synth_classification, uniform_delta
 from labelcert.config import (
     ExperimentConfig,
     build_delta,
@@ -16,6 +16,7 @@ from labelcert.config import (
     resolve_budget,
 )
 from labelcert.errors import ParseError
+from labelcert.harness import run_experiment
 
 SAMPLE = """
 # experiment settings
@@ -199,6 +200,7 @@ class TestResolveBudget:
     def test_absolute(self):
         assert resolve_budget(5, 100) == 5
         assert resolve_budget("5", 100) == 5  # CLI passes strings through
+        assert resolve_budget(np.int64(5), 100) == 5
 
     def test_percentage_rounds_to_nearest(self):
         assert resolve_budget("1%", 800) == 8
@@ -226,6 +228,16 @@ class TestResolveBudget:
         # 1e308% of 3200 overflows to inf before rounding
         with pytest.raises(ValueError, match=f"budget '{entry}' exceeds the 3200 training labels"):
             resolve_budget(entry, 3200)
+
+    @pytest.mark.parametrize("entry", [2.5, -0.5, True, float("inf"), float("nan"), None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"budget entry {entry!r}")):
+            resolve_budget(entry, 100)
+
+    def test_non_integer_entry_rejected_by_run_experiment(self):
+        config = ExperimentConfig(task="classification", budgets=(5, 2.5))
+        with pytest.raises(ValueError, match="budget entry 2.5"):
+            run_experiment(config, synth_classification(100, 3, seed=1))
 
 
 class TestBuildDelta:

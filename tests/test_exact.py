@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from labelcert import (
     BiasSpec,
     Dataset,
-    certify_classification,
-    certify_regression,
     classification_delta,
-    min_flips,
+    fit,
+    influence_vector,
     uniform_delta,
 )
 from labelcert.bias import PerturbationVector, contains, scale_delta
-from labelcert.errors import DimensionMismatch, NoAttackExists, NonBinaryLabel
+from labelcert.errors import DimensionMismatch, NoAttackExists
 from labelcert import exact
 from labelcert.exact import (
     Decision,
@@ -516,12 +515,13 @@ class TestVerdicts:
 
 
 class TestCertifyRegression:
-    def _dataset_for_z2(self):
+    def _z2(self):
         # identity features with lam=0 make the influence vector equal x
-        return Dataset(np.eye(2), Y2)
+        _, influence = fit(Dataset(np.eye(2), Y2), 0.0)
+        return influence_vector(Z2, influence)
 
     def test_worked_example_robust(self):
-        result = certify_regression(Z2, self._dataset_for_z2(), SPEC2, epsilon=3.0)
+        result = certify_from_influence(self._z2(), Y2, SPEC2, epsilon=3.0)
         assert result.robust
         assert result.counterexample is None
         assert result.base_prediction == 5.0
@@ -535,7 +535,7 @@ class TestCertifyRegression:
         assert certify_from_influence(z, y, spec, eps).robust
 
     def test_worked_example_not_robust(self):
-        result = certify_regression(Z2, self._dataset_for_z2(), SPEC2, epsilon=1.5)
+        result = certify_from_influence(self._z2(), Y2, SPEC2, epsilon=1.5)
         assert not result.robust
         np.testing.assert_array_equal(result.counterexample, [3.0, 5.0])
         assert Z2 @ result.counterexample == 7.0
@@ -604,18 +604,14 @@ class TestCertifyClassification:
         degenerate = classify_from_influence(z, y, BiasSpec(uniform_delta(1, 0.0), 1))
         assert degenerate.robust
 
-    def test_rejects_non_binary(self):
-        ds = Dataset(np.eye(2), np.array([0.0, 0.7]))
-        with pytest.raises(NonBinaryLabel):
-            certify_classification(np.ones(2), ds, BiasSpec(uniform_delta(2, 1.0), 1))
-
     def test_matches_retraining_oracle(self, rng):
         agree = 0
         for trial in range(30):
             ds = random_dataset(rng, n=8, m=2, binary=True)
             spec = BiasSpec(classification_delta(ds.y), 1)
             x = rng.normal(size=2)
-            fast = certify_classification(x, ds, spec, lam=0.1).robust
+            _, influence = fit(ds, 0.1)
+            fast = classify_from_influence(influence_vector(x, influence), ds.y, spec).robust
             slow = brute_force_classification(x, ds, spec, lam=0.1)
             assert fast == slow
             agree += 1
@@ -664,7 +660,9 @@ class TestMinFlips:
     def test_dataset_level_entry_point(self, rng):
         ds = random_dataset(rng, n=10, m=3)
         delta = uniform_delta(10, 1.0)
-        result = min_flips(rng.normal(size=3), ds, delta, epsilon=0.001, lam=0.1)
+        _, influence = fit(ds, 0.1)
+        z = influence_vector(rng.normal(size=3), influence)
+        result = min_flips_from_influence(z, ds.y, delta, Decision.band(0.001))
         assert result is None or result.flips >= 1
 
     def test_one_sided_search(self):
@@ -866,6 +864,8 @@ class TestBinaryExactness:
         for _ in range(30):
             ds = random_dataset(rng, n=10, m=3, binary=True)
             spec = BiasSpec(classification_delta(ds.y), int(rng.integers(1, 4)))
-            result = certify_classification(rng.normal(size=3), ds, spec, lam=0.2)
+            _, influence = fit(ds, 0.2)
+            z = influence_vector(rng.normal(size=3), influence)
+            result = classify_from_influence(z, ds.y, spec)
             for witness in (result.range.lower_witness, result.range.upper_witness):
                 assert np.isin(witness, (0.0, 1.0)).all()
