@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from labelcert import (
-    BiasSpec,
-    Decision,
-    certify_grid,
-    classification_delta,
-    fit,
-    synth_classification,
-)
+from labelcert import Decision, certify_grid, classification_delta, fit, synth_classification
 from labelcert.data import SplitConfig, split
 
 
@@ -44,9 +37,8 @@ def main() -> int:
             ds = synth_classification(args.n, m, seed=seed)
             train, _, test = split(ds, SplitConfig(seed=seed))
             delta = classification_delta(train.y)
-            specs = {level: BiasSpec(delta, max(1, int(train.n * level + 0.5)))
-                     for level in args.levels}
-            verdicts, _ = certify_grid(fit(train, args.lam)[1], train.y, test.X, specs,
+            budgets = {level: max(1, int(train.n * level + 0.5)) for level in args.levels}
+            verdicts, _ = certify_grid(fit(train, args.lam)[1], train.y, test.X, delta, budgets,
                                        Decision.threshold())
             for method, by_level in verdicts.items():
                 for level, flags in by_level.items():

@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Wall-clock comparison of the two certifiers as the test set grows.
 
-The exact certifier selects over every training label for each test point
-that its rounding-safe screen does not settle; the hull certifier pays a
-one-time hull build and then costs one m-wide range per point.
+Both certifiers run on one ridge fit of a synthetic regression set at one
+budget, through `certify_grid`, which reports the wall time of each method;
+the fit is not timed, and the approx time includes the hull build.  The
+exact certifier selects over every training label for each test point that
+its rounding-safe screen does not settle; the hull certifier pays a one-time
+hull build and then costs one m-wide range per point.  Prints a header and
+one row per `--points` value.
 """
 
 import argparse
 
 import numpy as np
 
-from labelcert import BiasSpec, Dataset, timing_report, uniform_delta
+from labelcert import Dataset, Decision, certify_grid, fit, uniform_delta
 
 
 def main() -> int:
@@ -29,17 +33,20 @@ def main() -> int:
     X = rng.normal(size=(args.train_n, args.features))
     w = rng.normal(size=args.features)
     train = Dataset(X, X @ w + 0.5 * rng.normal(size=args.train_n))
-    spec = BiasSpec(uniform_delta(args.train_n, args.halfwidth), args.budget)
+    delta = uniform_delta(args.train_n, args.halfwidth)
     X_test = rng.normal(size=(max(args.points), args.features))
+    _, influence = fit(train, args.lam)
 
-    timing_report(train, X_test[:50], "regression", spec, args.epsilon, args.lam)  # warm-up
+    def seconds(rows):
+        return certify_grid(influence, train.y, rows, delta, {args.budget: args.budget},
+                            Decision.band(args.epsilon))[1]
+
+    seconds(X_test[:50])  # warm-up
     print(f"{'points':>8} {'exact_s':>10} {'approx_s':>10} {'speedup':>8}")
     for count in args.points:
-        report = timing_report(train, X_test[:count], "regression", spec,
-                               args.epsilon, args.lam)
-        speedup = report["exact_seconds"] / max(report["approx_seconds"], 1e-9)
-        print(f"{count:>8} {report['exact_seconds']:>10.3f} "
-              f"{report['approx_seconds']:>10.3f} {speedup:>8.1f}")
+        spent = seconds(X_test[:count])
+        speedup = spent["exact"] / max(spent["approx"], 1e-9)
+        print(f"{count:>8} {spent['exact']:>10.3f} {spent['approx']:>10.3f} {speedup:>8.1f}")
     return 0
 
 

@@ -12,7 +12,7 @@ from .approx import decide_approx_rows, load_hull, model_hull
 from .bias import BiasSpec, TargetPredicate, apply_targeting, classification_delta, uniform_delta
 from .data import synth_classification, synth_demographic, with_bias_column
 from .exact import Decision, decide_exact, min_flips_from_influence
-from .harness import certify_grid, group_rates, robustness_rate, timing_report
+from .harness import certify_grid, group_rates, robustness_rate
 from .linalg import Dataset, fit, influence_vector
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ exact robustness, but failure to certify proves nothing.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,15 +113,17 @@ def hull_to_dict(hull: ModelHull) -> dict:
 def hull_from_dict(payload: dict) -> ModelHull:
     """Inverse of `hull_to_dict`.  A missing or malformed key, `format` included, raises
     ParseError naming it, as does anything `model_hull` never writes: an empty or
-    unbounded interval, a base coefficient outside its interval, a budget that is not a
-    count, or a fingerprint that is not a SHA-256 hex digest."""
+    unbounded interval, a base coefficient outside its interval, a ridge strength that is
+    not a finite number >= 0, a budget that is not a count, or a fingerprint that is not
+    a SHA-256 hex digest."""
     found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
     if found != _HULL_FORMAT:
         raise ParseError(f"unrecognized hull payload format: {found!r}")
     try:
         intervals = [Interval(*pair) for pair in payload["intervals"]]
-        base = ModelCoefficients(np.array(payload["base_coefficients"]), payload["lam"])
-        budget, fingerprint = payload["budget"], payload["fingerprint"]
+        lam, budget, fingerprint = payload["lam"], payload["budget"], payload["fingerprint"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam < math.inf:
+            raise ParseError(f"hull payload key 'lam' must be a finite number >= 0, got {lam!r}")
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
             raise ParseError(f"hull payload key 'budget' must be a count >= 0, got {budget!r}")
         if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
@@ -129,7 +132,7 @@ def hull_from_dict(payload: dict) -> ModelHull:
         hull = ModelHull(
             lower=np.array([iv.lo for iv in intervals]),
             upper=np.array([iv.hi for iv in intervals]),
-            base=base,
+            base=ModelCoefficients(np.array(payload["base_coefficients"]), lam),
             budget=budget,
             fingerprint=fingerprint,
         )

@@ -208,7 +208,8 @@ def build_delta(config: ExperimentConfig, dataset: Dataset) -> PerturbationVecto
     """Materialize the configured perturbation vector: one interval per dataset row.
 
     A bias file holds one `lo,hi` row per dataset row, in dataset order; each
-    fold takes its training rows' intervals from the result.
+    fold takes its training rows' intervals from the result.  A bias file whose
+    intervals do not make a perturbation vector raises ParseError naming it.
     """
     if config.bias_kind == "uniform":
         delta = uniform_delta(dataset.n, config.bias_halfwidth)
@@ -222,7 +223,10 @@ def build_delta(config: ExperimentConfig, dataset: Dataset) -> PerturbationVecto
             raise ParseError(
                 f"{config.bias_file}: {lo.size} intervals for {dataset.n} dataset rows"
             )
-        delta = PerturbationVector(lo, hi)
+        try:
+            delta = PerturbationVector(lo, hi)
+        except ValueError as exc:
+            raise ParseError(f"{config.bias_file}: {exc}") from None
     if config.targeting is not None:
         delta = apply_targeting(delta, dataset, config.targeting)
     return delta

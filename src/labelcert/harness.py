@@ -1,4 +1,4 @@
-"""Experiment harness: rate tables, ridge sweeps, group breakdowns, attacks, timing.
+"""Experiment harness: budget grids, rate tables, ridge sweeps, group breakdowns, attacks.
 
 Everything here is deterministic given the experiment config and seed; wall
 clock measurements are kept in a separate report section so the rest of a
@@ -51,45 +51,35 @@ class CertifiedRate:
     verdicts: np.ndarray
 
 
-def _one_delta(specs) -> PerturbationVector:
-    """The perturbation vector every spec of a budget grid shares."""
-    first, *rest = (spec.delta for spec in specs.values())
-    for delta in rest:
-        if not (np.array_equal(delta.lo, first.lo) and np.array_equal(delta.hi, first.hi)):
-            raise ValueError("every budget of a grid must share one perturbation vector")
-    return first
-
-
-def certify_grid(influence, train_y, X, specs, decision, methods=("exact", "approx")):
+def certify_grid(influence, train_y, X, delta, budgets, decision, methods=("exact", "approx")):
     """Certify the rows of X from one fit at every named budget, by each method.
 
-    `specs` maps the caller's budget names to BiasSpecs over one perturbation
-    vector.  exact: one `verdicts` call for the whole grid, over blocks of
-    X . C, which partitions each row once at the largest budget and skips the
-    rows a rounding-safe bound already settles; approx: one coefficient hull
-    per budget, and one range-kernel call over X and the hull box.  Returns
-    `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array over
-    the rows of X, and `seconds[method]` the wall time of that method, hull
-    builds included.  When both methods run, every approx certificate is
-    checked against exact, point by point.
+    `budgets` maps the caller's budget names to label counts over the one
+    perturbation vector `delta`.  exact: one `verdicts` call for the whole grid,
+    over blocks of X . C, which partitions each row once at the largest budget and
+    skips the rows a rounding-safe bound already settles; approx: one coefficient
+    hull per budget, and one range-kernel call over X and the hull box.  Returns
+    `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array over the rows
+    of X, and `seconds[method]` the wall time of that method, hull builds included.
+    When both methods run, every approx verdict is checked against exact per row.
     """
     flags, seconds = {}, {}
     for method in methods:
         start = time.perf_counter()
         if method == "exact":
-            grid = verdicts(influence.values, train_y, _one_delta(specs),
-                            [spec.budget for spec in specs.values()], decision, X) if specs else ()
-            flags[method] = dict(zip(specs, grid))
+            grid = verdicts(influence.values, train_y, delta, list(budgets.values()), decision, X)
+            flags[method] = dict(zip(budgets, grid))
         elif method == "approx":
             flags[method] = {
-                name: decide_approx_rows(model_hull(influence, train_y, spec), X, decision)
-                for name, spec in specs.items()
+                name: decide_approx_rows(model_hull(influence, train_y, BiasSpec(delta, count)),
+                                         X, decision)
+                for name, count in budgets.items()
             }
         else:
             raise ValueError(f"method must be 'exact' or 'approx', got {method!r}")
         seconds[method] = time.perf_counter() - start
     if {"exact", "approx"} <= flags.keys():
-        for name in specs:
+        for name in budgets:
             unsound = np.flatnonzero(flags["approx"][name] & ~flags["exact"][name])
             if unsound.size:
                 raise RuntimeError(
@@ -113,8 +103,9 @@ def robustness_rate(
     method: str,
 ) -> CertifiedRate:
     """Certified fraction of the test rows under one method at one budget."""
-    verdicts, _ = certify_grid(fit(train, lam)[1], train.y, X_test, {spec.budget: spec},
-                               Decision.for_task(task, epsilon), (method,))
+    verdicts, _ = certify_grid(fit(train, lam)[1], train.y, X_test, spec.delta,
+                               {spec.budget: spec.budget}, Decision.for_task(task, epsilon),
+                               (method,))
     flags = verdicts[method][spec.budget]
     return CertifiedRate(_fraction(flags), flags)
 
@@ -163,11 +154,11 @@ def lambda_sweep(
     else:
         floor = best - tolerance_pct / 100.0 * max(abs(best), 1e-12)
     admissible = [lam for lam in grid if accuracies[lam] >= floor]
-    specs = {reference_budget: BiasSpec(delta, reference_budget)}
     decision = Decision.for_task(task, epsilon)
     rates = {}
     for lam in admissible:
-        verdicts, _ = certify_grid(fits[lam][1], train.y, val.X, specs, decision, ("exact",))
+        verdicts, _ = certify_grid(fits[lam][1], train.y, val.X, delta,
+                                   {reference_budget: reference_budget}, decision, ("exact",))
         rates[lam] = _fraction(verdicts["exact"][reference_budget])
     chosen = None
     for lam in sorted(admissible):
@@ -233,11 +224,8 @@ def _run_fold(fold_index, train, val, test, delta, fitted, sweep_record,
     theta, influence = fitted
     accuracy = _accuracy(theta, val.X, val.y, config.task) if val is not None else None
     budget_counts = {str(e): resolve_budget(e, train.n) for e in config.budgets}
-    verdicts, seconds = certify_grid(
-        influence, train.y, test.X,
-        {label: BiasSpec(delta, count) for label, count in budget_counts.items()},
-        Decision.for_task(config.task, config.epsilon), methods,
-    )
+    verdicts, seconds = certify_grid(influence, train.y, test.X, delta, budget_counts,
+                                     Decision.for_task(config.task, config.epsilon), methods)
     for m, spent in seconds.items():
         timings[m] = timings.get(m, 0.0) + spent
     return {
@@ -351,31 +339,6 @@ def render_csv_tables(payload: dict, out_dir: str | Path) -> list[Path]:
     for path, text in texts.items():
         path.write_text(text, newline="")
     return list(texts)
-
-
-def timing_report(
-    train: Dataset,
-    X_test: np.ndarray,
-    task: str,
-    spec: BiasSpec,
-    epsilon: float | None,
-    lam: float,
-) -> dict:
-    """Wall-clock comparison of the two certifiers over the same test points.
-
-    The shared fit is excluded; the approximate figure includes building the
-    coefficient hull.  Every approx certificate is checked against exact.
-    """
-    verdicts, seconds = certify_grid(fit(train, lam)[1], train.y, X_test, {spec.budget: spec},
-                                     Decision.for_task(task, epsilon))
-    return {
-        "points": int(len(X_test)),
-        "budget": spec.budget,
-        "exact_seconds": seconds["exact"],
-        "approx_seconds": seconds["approx"],
-        "exact_rate": _fraction(verdicts["exact"][spec.budget]),
-        "approx_rate": _fraction(verdicts["approx"][spec.budget]),
-    }
 
 
 def export_attack(

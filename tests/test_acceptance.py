@@ -23,7 +23,6 @@ from labelcert import (
     robustness_rate,
     synth_classification,
     synth_demographic,
-    timing_report,
     uniform_delta,
 )
 from labelcert.approx import interval_predict
@@ -212,9 +211,9 @@ def _trend_rates(num_features: int, seed: int, lam: float = 1.0):
     ds = synth_classification(1000, num_features, seed=seed)
     train, _, test = split(ds, SplitConfig(seed=seed))
     delta = classification_delta(train.y)
-    specs = {level: BiasSpec(delta, max(1, int(train.n * level + 0.5)))
-             for level in (*LEVELS, 0.10)}
-    verdicts, _ = certify_grid(fit(train, lam)[1], train.y, test.X, specs, Decision.threshold())
+    budgets = {level: max(1, int(train.n * level + 0.5)) for level in (*LEVELS, 0.10)}
+    verdicts, _ = certify_grid(fit(train, lam)[1], train.y, test.X, delta, budgets,
+                               Decision.threshold())
     rates = {m: {level: float(v.mean()) for level, v in by_level.items()}
              for m, by_level in verdicts.items()}
     return [rates["exact"][level] for level in LEVELS], rates["exact"][0.10] - rates["approx"][0.10]
@@ -261,20 +260,25 @@ def test_c08_amortization_and_linear_scaling():
     y = X @ w + 0.5 * rng.normal(size=5000)
     train = Dataset(X, y)
     X_test = rng.normal(size=(10000, 4))
-    spec = BiasSpec(uniform_delta(5000, 0.5), 50)
+    delta = uniform_delta(5000, 0.5)
+    _, influence = fit(train, 0.1)
+
+    def seconds(rows):
+        """Wall time per method at budget 50, hull build included in approx."""
+        return certify_grid(influence, train.y, rows, delta, {50: 50}, Decision.band(1.0))[1]
 
     # warm-up so first-call overheads do not pollute the measurement
-    timing_report(train, X_test[:50], "regression", spec, 1.0, 0.1)
+    seconds(X_test[:50])
 
-    t_small = timing_report(train, X_test[:1000], "regression", spec, 1.0, 0.1)
-    t_big = timing_report(train, X_test, "regression", spec, 1.0, 0.1)
+    t_small = seconds(X_test[:1000])
+    t_big = seconds(X_test)
 
-    assert t_big["approx_seconds"] <= t_big["exact_seconds"] / 3.0, t_big
-    scaling = t_big["exact_seconds"] / t_small["exact_seconds"]
+    assert t_big["approx"] <= t_big["exact"] / 3.0, t_big
+    scaling = t_big["exact"] / t_small["exact"]
     assert 5.0 <= scaling <= 20.0, f"scaling factor {scaling:.1f}"
     _report(
-        f"8 (amortization: exact {t_big['exact_seconds']:.2f}s vs approx "
-        f"{t_big['approx_seconds']:.2f}s at 10k points; scaling x{scaling:.1f})"
+        f"8 (amortization: exact {t_big['exact']:.2f}s vs approx "
+        f"{t_big['approx']:.2f}s at 10k points; scaling x{scaling:.1f})"
     )
 
 

@@ -308,6 +308,9 @@ class TestHullSerialization:
         ("budget", -3),
         ("budget", 2.7),
         ("budget", True),
+        ("lam", True),
+        ("lam", "0.5"),
+        ("lam", -1.0),
         ("fingerprint", ""),
         ("base_coefficients", [5.0, 0.0, 0.0]),  # 5 lies outside interval 0, [-2, 4]
     ])

@@ -294,6 +294,15 @@ class TestBuildDelta:
         with pytest.raises(ParseError, match="^row 3, column 'lo': cannot parse 'nan'"):
             build_delta(config, self._train())
 
+    @pytest.mark.parametrize("line", ["0.5,1.0", "1,-1"])
+    def test_file_refuses_interval_without_zero(self, tmp_path, line):
+        path = tmp_path / "delta.csv"
+        path.write_text(f"lo,hi\n-1,1\n{line}\n0,3\n", encoding="utf-8")
+        config = ExperimentConfig(task="regression", epsilon=1.0,
+                                  bias_kind="file", bias_file=str(path))
+        with pytest.raises(ParseError, match="delta.csv.*does not contain 0"):
+            build_delta(config, self._train())
+
     def test_build_spec_resolves_budget(self):
         config = ExperimentConfig(task="classification", budgets=("33.4%",))
         train = self._train()

@@ -16,12 +16,11 @@ from labelcert import (
     robustness_rate,
     synth_classification,
     synth_demographic,
-    timing_report,
     uniform_delta,
 )
 from labelcert import exact, harness
 from labelcert.approx import model_hull
-from labelcert.bias import PerturbationVector, contains
+from labelcert.bias import contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
@@ -84,43 +83,56 @@ class TestCertifyGrid:
         train, _, test = _train_test(seed=3)
         delta = classification_delta(train.y)
         # budget 0 and two names sharing one count
-        specs = {"none": BiasSpec(delta, 0), "a": BiasSpec(delta, 3), "b": BiasSpec(delta, 3),
-                 "wide": BiasSpec(delta, 12)}
+        budgets = {"none": 0, "a": 3, "b": 3, "wide": 12}
         decision = Decision.threshold()
-        verdicts, seconds = harness.certify_grid(fit(train, 0.1)[1], train.y, test.X, specs,
-                                                 decision)
+        verdicts, seconds = harness.certify_grid(fit(train, 0.1)[1], train.y, test.X, delta,
+                                                 budgets, decision)
         assert set(verdicts) == set(seconds) == {"exact", "approx"}
         for method in ("exact", "approx"):
-            assert list(verdicts[method]) == list(specs)
-            for name, spec in specs.items():
+            assert list(verdicts[method]) == list(budgets)
+            for name, count in budgets.items():
+                spec = BiasSpec(delta, count)
                 rate = robustness_rate(train, test.X, "classification", spec, None, 0.1, method)
                 np.testing.assert_array_equal(verdicts[method][name], rate.verdicts)
         assert verdicts["exact"]["none"].all()
         assert not verdicts["approx"]["wide"].all()
 
-    def test_budgets_share_one_perturbation_vector(self):
-        train, _, test = _train_test(seed=3)
+    def test_zero_rows(self):
+        train, _, _ = _train_test(seed=9, n=60)
         delta = classification_delta(train.y)
-        same = PerturbationVector(delta.lo.copy(), delta.hi.copy())
-        other = PerturbationVector(delta.lo / 2, delta.hi)
-        influence = fit(train, 0.1)[1]
-        verdicts, _ = harness.certify_grid(influence, train.y, test.X,
-                                           {1: BiasSpec(delta, 1), 2: BiasSpec(same, 2)},
-                                           Decision.threshold(), ("exact",))
-        assert list(verdicts["exact"]) == [1, 2]
-        with pytest.raises(ValueError, match="share one perturbation vector"):
-            harness.certify_grid(influence, train.y, test.X,
-                                 {1: BiasSpec(delta, 1), 2: BiasSpec(other, 2)},
-                                 Decision.threshold(), ("exact",))
-        assert harness.certify_grid(influence, train.y, test.X, {}, Decision.threshold(),
+        verdicts, seconds = harness.certify_grid(fit(train, 0.1)[1], train.y, np.zeros((0, 3)),
+                                                 delta, {"a": 0, "b": 2}, Decision.threshold())
+        for method in ("exact", "approx"):
+            assert list(verdicts[method]) == ["a", "b"]
+            for flags in verdicts[method].values():
+                assert flags.dtype == bool and flags.shape == (0,)
+            assert seconds[method] >= 0.0
+        rate = robustness_rate(train, np.zeros((0, 3)), "classification", BiasSpec(delta, 2),
+                               None, 0.1, "exact")
+        assert math.isnan(rate.fraction)
+
+    def test_empty_grid(self):
+        train, _, test = _train_test(seed=3)
+        assert harness.certify_grid(fit(train, 0.1)[1], train.y, test.X,
+                                    classification_delta(train.y), {}, Decision.threshold(),
                                     ("exact",))[0] == {"exact": {}}
+
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    @pytest.mark.parametrize("count", [-1, 2.5, "n + 1"])
+    def test_rejects_counts_bias_spec_rejects(self, method, count):
+        train, _, test = _train_test(seed=3)
+        count = train.n + 1 if count == "n + 1" else count
+        with pytest.raises(ValueError, match="budget"):
+            harness.certify_grid(fit(train, 0.1)[1], train.y, test.X,
+                                 classification_delta(train.y), {"bad": count},
+                                 Decision.threshold(), (method,))
 
     def test_unknown_method(self):
         train, _, test = _train_test(seed=3)
-        spec = BiasSpec(classification_delta(train.y), 1)
         with pytest.raises(ValueError, match="method must be"):
-            harness.certify_grid(fit(train, 0.1)[1], train.y, test.X, {1: spec},
-                                 Decision.threshold(), ("exact", "hull"))
+            harness.certify_grid(fit(train, 0.1)[1], train.y, test.X,
+                                 classification_delta(train.y), {1: 1}, Decision.threshold(),
+                                 ("exact", "hull"))
 
 
 class TestBlockVerdicts:
@@ -139,8 +151,8 @@ class TestBlockVerdicts:
         hull = model_hull(influence, ds.y, spec)
         # three-row blocks: 7 rows make blocks of 3, 3 and 1
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.n)
-        verdicts, _ = harness.certify_grid(influence, ds.y, X_test, {"b": spec}, decision,
-                                           ("exact",))
+        verdicts, _ = harness.certify_grid(influence, ds.y, X_test, spec.delta,
+                                           {"b": spec.budget}, decision, ("exact",))
         exact_block = verdicts["exact"]["b"]
         monkeypatch.setattr(exact, "ELEMS", 3 * ds.m)
         approx_block = harness.decide_approx_rows(hull, X_test, decision)
@@ -321,25 +333,6 @@ class TestExportAttack:
 def _read_labels(path):
     rows = path.read_text().strip().splitlines()[1:]
     return np.array([float(line.split(",")[1]) for line in rows])
-
-
-class TestTimingReport:
-    def test_zero_points(self):
-        train, _, _ = _train_test(seed=9, n=60)
-        spec = BiasSpec(classification_delta(train.y), 2)
-        report = timing_report(train, np.zeros((0, 3)), "classification", spec, None, 0.1)
-        assert report["points"] == 0
-        assert report["exact_seconds"] >= 0.0
-        assert report["approx_seconds"] >= 0.0
-        assert math.isnan(report["exact_rate"])
-
-    def test_rates_match_methods(self):
-        train, _, test = _train_test(seed=10, n=120)
-        spec = BiasSpec(classification_delta(train.y), 3)
-        report = timing_report(train, test.X, "classification", spec, None, 0.1)
-        exact = robustness_rate(train, test.X, "classification", spec, None, 0.1, "exact")
-        assert report["exact_rate"] == exact.fraction
-        assert report["approx_rate"] <= report["exact_rate"]
 
 
 class TestRunExperiment:
