@@ -2,13 +2,18 @@
 
 Instead of re-solving the worst case per test point, bound each fitted
 coefficient over the whole reachable label set once: one call of the exact
-range kernel on the rows of the influence matrix.  The resulting interval
-box (the model hull) is the tightest axis-aligned enclosure of the reachable
-coefficient set.  The range of x . theta over that box is a budgeted-interval
-problem of its own, with the base coefficients as "labels", each free to move
-within its box side and all of them at once, so the same kernel certifies a
-block of test points too.  The check is one-sided: a certificate implies
-exact robustness, but failure to certify proves nothing.
+range kernel on the rows of the influence matrix, with each end padded
+outward by that kernel's own rounding bound.  The resulting interval box (the
+model hull) encloses every reachable coefficient vector with a small relative
+margin.  Certifying a test point x is then an interval dot product, since
+every coordinate moves at once: x . theta0 plus the midpoint-radius form
+x . mid -+ |x| . rad of the box's offsets from theta0, from plain BLAS
+products widened by an a-priori error bound (Rump, "Fast and parallel
+interval arithmetic", BIT 39, 1999; Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3).  The check is one-sided: a certificate implies
+exact robustness, for the float verdicts of `exact.verdicts` as well as in
+real arithmetic (see `interval_predict`), but failure to certify proves
+nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasSpec, Interval, PerturbationVector
+from .bias import BiasSpec, Interval
 from .errors import DimensionMismatch, LabelCertError, ParseError
+from . import exact
 from .exact import Decision, ranges
 from .linalg import InfluenceMatrix, ModelCoefficients
 
@@ -55,13 +61,38 @@ class ModelHull:
         return self.lower.size
 
 
-def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> ModelHull:
-    """Tightest interval box containing every coefficient vector reachable under the spec.
+_U = 2.0**-53  # unit roundoff of float64
 
-    One call of the exact range kernel over the rows of the influence matrix
-    C gives every coordinate interval and the base coefficients C @ y.  Both
-    ends of coordinate i are attained up to rounding: see
-    `prediction_range(C[i], y, spec)`.
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * _U / (1 - k * _U)
+
+
+def _outward(base: np.ndarray, reach: np.ndarray, sign: float) -> np.ndarray:
+    """base + sign * reach (reach >= 0) rounded to nearest, then one float step away from
+    base wherever reach > 0: at or beyond the real sum on the `sign` side, and base
+    itself where nothing moves."""
+    end = base + sign * reach
+    return np.where(reach > 0, np.nextafter(end, sign * np.inf), end)
+
+
+def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> ModelHull:
+    """Interval box enclosing every coefficient vector reachable under the spec.
+
+    theta0 = C @ y is the fit.  `ranges` at zero labels gives each row C_j's
+    reaches unrounded by any base: s_j, the float sum of its K = `budget`
+    largest gains toward the upper end, and s'_j toward the lower one.  The
+    real reach R_j (that sum in exact arithmetic, over the float C and spec)
+    is at most (1 + gamma_K) s_j: each gain is one rounded product and the sum
+    K - 1 rounded additions of non-negative terms.  Coordinate j's interval is
+    theta0_j -+ (1 + gamma_{2K+3}) s_j, rounded outward, so it encloses
+    theta0_j + C_j . delta for every reachable delta, computed exactly, with
+    a relative margin of gamma_K: (1 + gamma_K)^2 <= 1 + gamma_{2K}, and the
+    other three cover the rounding of the padded sum.  `interval_predict`
+    spends that margin on the exact kernel's own rounding.  Each end is that
+    of `prediction_range(C[j], y, spec)` up to the padding and two float
+    steps; at budget 0 the box is the point theta0.
     """
     y = np.asarray(y, dtype=float)
     if influence.n != y.size or y.size != spec.n:
@@ -69,25 +100,82 @@ def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> Mod
             f"influence matrix is {influence.m}x{influence.n}, labels {y.size}, "
             f"spec length {spec.n}"
         )
-    base, lower, upper = ranges(influence.values, y, spec)
+    theta = influence.values @ y
+    _, down, up = ranges(influence.values, np.zeros_like(y), spec)
+    pad = _gamma(2 * spec.budget + 3)
     return ModelHull(
-        lower, upper, ModelCoefficients(base, influence.lam), spec.budget, spec.fingerprint()
+        _outward(theta, pad * -down - down, -1.0), _outward(theta, pad * up + up, 1.0),
+        ModelCoefficients(theta, influence.lam), spec.budget, spec.fingerprint(),
     )
 
 
 def interval_predict(hull: ModelHull, X: np.ndarray):
-    """Range of x . theta over the hull box for each row x of X (k, m).
+    """Range of x . theta over the hull box for each row x of X (k, m), rounded outward.
 
-    `ranges` with the base coefficients theta0 as the labels, each free to
-    move within [lower - theta0, upper - theta0] and all m at once.  Returns
-    arrays (base, lo, hi): each row's prediction at theta0 and its range.
+    Returns arrays (base, lo, hi): base = fl(x . theta0) and the range's ends.
+    With the box's offsets a = lower - theta0 and b = upper - theta0, and
+    mid = (a + b) / 2, rad = (b - a) / 2 and g = |mid| + rad, all in floats,
+    the ends are base -+ reach, added by `_outward`, where
+
+        reach_up   = (x . mid + |x| . rad) + kappa |x| . g
+        reach_down = (|x| . rad - x . mid) + kappa |x| . g,   kappa = gamma_{3m+8}.
+
+    Two two-column gemms per block of rows give the products: X [theta0, mid]
+    and |X| [rad, g], with |X| formed in one buffer of `exact.ELEMS` values.
+
+    Soundness, barring underflow and overflow, with u = 2**-53 and
+    gamma_k = k u / (1 - k u); K is the hull's budget:
+
+    - Enclosure.  a and b are rounded once and the split twice, so the box's
+      real offsets lie within mid -+ (rad + gamma_3 g), and the real range of
+      x . (theta - theta0) over the box within x . mid -+ |x| . rad widened by
+      gamma_3 |x| . g.  Each product has m terms, so it is within
+      gamma_m |x| . g of its real value.
+    - Exact's rounding.  Exact sums the K largest rounded gains of
+      z = fl(x C), each z_i within gamma_m |x| . |C_i| of x . C_i.  Its float
+      reach s is at most (1 + gamma_K) times the real reach at x C, which
+      `model_hull`'s margin absorbs, plus gamma_m |x| . (b - a) for the error
+      in z, since a gain's slope in z_i is at most the sum of its two gains.
+      That is at most 2 gamma_m (1 + gamma_3) |x| . g.
+    - Allowance.  kappa |x| . g covers gamma_3 + 3 gamma_m of the real
+      |x| . g, which is at most (1 + gamma_{m+1}) times its float value, and
+      the two roundings that add each reach.  So each reach is at least the
+      real reach over the box and at least exact's float reach s.
+    - Verdicts.  An end is next(F), F = fl(base + reach).  Decision.band(eps)
+      keeps it only if next(F) <= fl(base + eps), and rounding to nearest
+      then needs base + eps > base + reach: eps exceeds the real reach and s,
+      so the row is robust in real arithmetic, and exact's own end
+      fl(b_e + s) <= fl(b_e + eps) keeps too, whatever its base b_e.  The
+      lower end is the mirror image.  Under Decision.threshold() the whole
+      range stays on base's side of 0.5.  Exact agrees when its own base
+      fl(fl(x C) . y) lies within the allowance of base.  The two bases
+      differ by rounding that the hull, which does not carry C, cannot
+      bound, so a range ending within that rounding of 0.5 may be certified
+      here and rejected by exact.
+
+    A point box (budget 0) has mid = rad = 0, so every end is base, as is
+    every end of a zero row.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != hull.m:
         raise DimensionMismatch(f"test points have shape {X.shape}, expected (k, {hull.m})")
     theta = hull.base.values
-    box = PerturbationVector(hull.lower - theta, hull.upper - theta)
-    return ranges(X, theta, BiasSpec(box, hull.m))
+    below, above = hull.lower - theta, hull.upper - theta
+    mid, rad = (below + above) * 0.5, (above - below) * 0.5
+    signed, unsigned = np.column_stack([theta, mid]), np.column_stack([rad, np.abs(mid) + rad])
+    k, m = X.shape
+    rows = max(1, min(k, exact.ELEMS // m))
+    at, spread, work = np.empty((k, 2)), np.empty((k, 2)), np.empty((rows, m))
+    for start in range(0, k, rows):
+        block = X[start : start + rows]
+        part = slice(start, start + len(block))
+        np.matmul(block, signed, out=at[part])
+        np.matmul(np.abs(block, out=work[: len(block)]), unsigned, out=spread[part])
+    base, shift = np.ascontiguousarray(at.T)
+    radius, scale = spread.T
+    slack = _gamma(3 * m + 8) * scale
+    return (base, _outward(base, (radius - shift) + slack, -1.0),
+            _outward(base, (shift + radius) + slack, 1.0))
 
 
 def decide_approx_rows(hull: ModelHull, X: np.ndarray, decision: Decision) -> np.ndarray:
@@ -112,15 +200,17 @@ def hull_to_dict(hull: ModelHull) -> dict:
 
 def hull_from_dict(payload: dict) -> ModelHull:
     """Inverse of `hull_to_dict`.  A missing or malformed key, `format` included, raises
-    ParseError naming it, as does anything `model_hull` never writes: an empty or
-    unbounded interval, a base coefficient outside its interval, a ridge strength that is
-    not a finite number >= 0, a budget that is not a count, or a fingerprint that is not
-    a SHA-256 hex digest."""
+    ParseError naming it, as does anything `model_hull` never writes: no intervals, an
+    empty or unbounded interval, a base coefficient outside its interval, a ridge strength
+    that is not a finite number >= 0, a budget that is not a count, or a fingerprint that
+    is not a SHA-256 hex digest."""
     found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
     if found != _HULL_FORMAT:
         raise ParseError(f"unrecognized hull payload format: {found!r}")
     try:
         intervals = [Interval(*pair) for pair in payload["intervals"]]
+        if not intervals:
+            raise ParseError("hull payload key 'intervals' is empty")
         lam, budget, fingerprint = payload["lam"], payload["budget"], payload["fingerprint"]
         if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam < math.inf:
             raise ParseError(f"hull payload key 'lam' must be a finite number >= 0, got {lam!r}")

@@ -212,10 +212,11 @@ def ranges(Z: np.ndarray, y: np.ndarray, spec: BiasSpec, X: np.ndarray | None = 
     An in-place partition per row selects them and `_top_sums` adds them,
     largest first.  The work buffers are allocated once per call.
 
-    Every interval in the package comes from here: hull coordinates (the rows
-    of C), hull certificates (test points over the hull box, see
-    `approx.interval_predict`) and, through `verdicts`, which shares its
-    blocks and its selection, exact verdicts.
+    Exact verdicts come from here, through `verdicts`, which shares its blocks
+    and its selection, and so do the hull's coordinates: `approx.model_hull`
+    runs it over the rows of C at zero labels, where the ends are the sums
+    themselves.  A hull certificate moves every coordinate at once, so it is
+    an interval dot product instead (`approx.interval_predict`).
     """
     n, budget = spec.n, spec.budget
     Z, y, base, rows = _layout(Z, y, n, X)

@@ -58,10 +58,12 @@ def certify_grid(influence, train_y, X, delta, budgets, decision, methods=("exac
     perturbation vector `delta`.  exact: one `verdicts` call for the whole grid,
     over blocks of X . C, which partitions each row once at the largest budget and
     skips the rows a rounding-safe bound already settles; approx: one coefficient
-    hull per budget, and one range-kernel call over X and the hull box.  Returns
+    hull per budget, and one interval dot product per row of X over its box.  Returns
     `(verdicts, seconds)`: `verdicts[method][name]` is a boolean array over the rows
     of X, and `seconds[method]` the wall time of that method, hull builds included.
-    When both methods run, every approx verdict is checked against exact per row.
+    When both methods run, every approx verdict is checked against exact per row;
+    the hull's allowance covers exact's rounding, so a band verdict never fails it
+    (see `approx.interval_predict`).
     """
     flags, seconds = {}, {}
     for method in methods:

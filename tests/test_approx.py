@@ -1,6 +1,7 @@
 """Tests for the hull-based approximate certifier."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from labelcert import (
 )
 from labelcert import exact
 from labelcert.approx import (
+    _gamma as gamma,
     decide_approx_rows,
     hull_from_dict,
     hull_to_dict,
@@ -26,6 +28,7 @@ from labelcert.exact import Decision, certify_from_influence, prediction_range
 from labelcert.linalg import InfluenceMatrix, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members
 from oracle import brute_force_hull
+from referee import reaches
 
 # Three-coefficient worked example: the reachable coefficient set is
 # non-convex but its tight interval box is ([-2,4],[0,6],[-2,4]).
@@ -38,11 +41,34 @@ def _hull3():
     return model_hull(InfluenceMatrix(C3, 0.0), Y3, SPEC3)
 
 
+# How far the worked example may pass its tight values.  `model_hull` pads each
+# reach (3 in every coordinate) by gamma_{2K+3} and rounds outward;
+# `interval_predict` adds kappa |x| . g with kappa = gamma_{3m+8} and g <= 3 (plus
+# the padding) per coordinate, and rounds outward.  Each bound allows two float steps.
+BOX_SLACK = gamma(2 * 2 + 4) * 3.0 + 2 * np.spacing(6.0)
+
+
+def _certificate_slack(x):
+    w = float(np.abs(x).sum())
+    return w * BOX_SLACK + 2 * gamma(3 * 3 + 8) * 3.0 * w + 2 * np.spacing(3.0 * w + 3.0)
+
+
+def _assert_encloses(got, tight, slack):
+    """(base, lo, hi) from `interval_predict` keeps the base and contains the tight
+    range (base, lo, hi), passing it by at most `slack` at each end."""
+    (base, lo, hi), (tight_base, tight_lo, tight_hi) = got, tight
+    assert base.tolist() == [tight_base]
+    assert 0.0 <= tight_lo - lo[0] <= slack and 0.0 <= hi[0] - tight_hi <= slack
+
+
 class TestModelHull:
     def test_worked_example_box(self):
         hull = _hull3()
-        np.testing.assert_array_equal(hull.lower, [-2.0, 0.0, -2.0])
-        np.testing.assert_array_equal(hull.upper, [4.0, 6.0, 4.0])
+        tight_lower, tight_upper = np.array([-2.0, 0.0, -2.0]), np.array([4.0, 6.0, 4.0])
+        assert (0.0 <= tight_lower - hull.lower).all()
+        assert (tight_lower - hull.lower <= BOX_SLACK).all()
+        assert (0.0 <= hull.upper - tight_upper).all()
+        assert (hull.upper - tight_upper <= BOX_SLACK).all()
 
     def test_known_reachable_points_inside(self):
         hull = _hull3()
@@ -103,12 +129,13 @@ class TestIntervalPredict:
                                       [[0.0], [0.0], [0.0]])
 
     def test_unit_vector_selects_coordinate(self):
-        np.testing.assert_array_equal(interval_predict(_hull3(), [[1.0, 0.0, 0.0]]),
-                                      [[1.0], [-2.0], [4.0]])
+        x = [1.0, 0.0, 0.0]
+        _assert_encloses(interval_predict(_hull3(), [x]), (1.0, -2.0, 4.0), _certificate_slack(x))
 
     def test_mixed_signs(self):
-        np.testing.assert_array_equal(interval_predict(_hull3(), [[1.0, 1.0, -1.0]]),
-                                      [[3.0], [-6.0], [12.0]])
+        x = [1.0, 1.0, -1.0]
+        _assert_encloses(interval_predict(_hull3(), [x]), (3.0, -6.0, 12.0),
+                         _certificate_slack(x))
 
     def test_dimension_mismatch(self):
         for bad in (np.ones(3), np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
@@ -208,13 +235,13 @@ class TestDecideApproxRows:
 
 class TestBoundarySoundness:
     """No row is approx-certified and exact-rejected, with the band radius placed on
-    exact's own reach, where rounding decides the verdicts."""
+    exact's own reach, or one float step inside it, where rounding decides the verdicts."""
 
     def test_radii_at_exact_reach(self):
         rng = np.random.default_rng(18)
         checked = certified = 0
-        for _ in range(150):
-            m = int(rng.integers(1, 9))
+        for trial in range(150):
+            m = 1 if trial % 3 == 0 else int(rng.integers(1, 9))  # at m = 1 the hull is tight
             lam = float(rng.choice([0.0, 0.1, 1.0]))
             n = int(rng.integers(max(4, m + 1), 60))
             ds = random_dataset(rng, n=n, m=m)
@@ -228,7 +255,8 @@ class TestBoundarySoundness:
             rows = [(X, d, slice(None)) for d in decisions]
             for i in range(len(X)):  # each row at its own reach, and just inside it
                 up, down = hi[i] - base[i], base[i] - lo[i]
-                for r in (up, down, (1.0 - 1e-12) * max(up, down)):
+                for r in (up, down, np.nextafter(up, 0), np.nextafter(down, 0),
+                          (1.0 - 1e-12) * max(up, down)):
                     rows.append((X[i : i + 1], Decision.band(r), slice(i, i + 1)))
             for block, decision, part in rows:
                 approx = decide_approx_rows(hull, block, decision)
@@ -236,7 +264,45 @@ class TestBoundarySoundness:
                 assert not (approx & ~robust).any()
                 checked += approx.size
                 certified += int(approx.sum())
-        assert checked == 150 * 12 * (4 + 3) and certified > 0
+        assert checked == 150 * 12 * (4 + 5) and certified > 0
+
+    def test_certified_rows_robust_in_real_arithmetic(self):
+        """Every certificate at radii one float step around either certifier's reach holds
+        for the referee, which sums the same float inputs without rounding."""
+        rng = np.random.default_rng(23)
+        certified = 0
+        for trial in range(300):
+            m = 1 if trial % 3 == 0 else int(rng.integers(1, 4))
+            n = int(rng.integers(max(4, m + 1), 31))
+            ds = random_dataset(rng, n=n, m=m)
+            spec = BiasSpec(random_delta(rng, n), int(rng.integers(1, n + 1)))
+            _, influence = fit(ds, float(rng.choice([0.0, 0.1, 1.0])))
+            hull = model_hull(influence, ds.y, spec)
+            X = rng.normal(size=(4, m))
+            for ends in (exact.ranges(influence.values, ds.y, spec, X), interval_predict(hull, X)):
+                base, lo, hi = ends
+                for i, x in enumerate(X):
+                    reach = max(hi[i] - base[i], base[i] - lo[i])
+                    radii = [np.nextafter(reach, 0), reach, np.nextafter(reach, np.inf)]
+                    kept = [r for r in radii
+                            if decide_approx_rows(hull, x[None], Decision.band(r))[0]]
+                    if kept:
+                        _, down, up = reaches(influence.values, ds.y, spec.delta, spec.budget, x)
+                        assert all(max(down, up) <= Fraction(float(r)) for r in kept)
+                        certified += len(kept)
+        assert certified > 0
+
+    def test_referee_matches_ranges(self, rng):
+        for _ in range(20):
+            ds = random_dataset(rng, n=12, m=3)
+            spec = BiasSpec(random_delta(rng, 12), int(rng.integers(0, 13)))
+            _, influence = fit(ds, 0.3)
+            x = rng.normal(size=3)
+            base, lo, hi = exact.ranges(influence.values, ds.y, spec, x[None])
+            ref = reaches(influence.values, ds.y, spec.delta, spec.budget, x)
+            np.testing.assert_allclose([float(v) for v in ref],
+                                       [base[0], base[0] - lo[0], hi[0] - base[0]],
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestCertifyApproxClassification:
@@ -297,6 +363,11 @@ class TestHullSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="hull.json"):
             load_hull(path)
+
+    def test_rejects_empty_hull(self):
+        payload = dict(hull_to_dict(_hull3()), intervals=[], base_coefficients=[])
+        with pytest.raises(ParseError, match="'intervals'"):
+            hull_from_dict(payload)
 
     def test_rejects_non_finite_bound(self):
         payload = hull_to_dict(_hull3())

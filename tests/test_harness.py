@@ -33,6 +33,7 @@ from labelcert.harness import (
     write_report,
 )
 from labelcert.linalg import predict
+from conftest import random_dataset, random_delta
 
 
 def _train_test(seed=0, n=240, features=3):
@@ -126,6 +127,25 @@ class TestCertifyGrid:
             harness.certify_grid(fit(train, 0.1)[1], train.y, test.X,
                                  classification_delta(train.y), {"bad": count},
                                  Decision.threshold(), (method,))
+
+    def test_both_methods_at_radii_inside_exact_reach(self):
+        """With the band radius one float step inside exact's reach, where rounding
+        decides exact's verdict, the hull must certify no row that exact rejects, or
+        `certify_grid` raises its soundness violation."""
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(max(4, m + 1), 40))
+            ds = random_dataset(rng, n=n, m=m)
+            delta = random_delta(rng, n)
+            budget = int(rng.integers(1, n + 1))
+            _, influence = fit(ds, float(rng.choice([0.0, 0.1, 1.0])))
+            x = rng.normal(size=(1, m))
+            base, lo, hi = exact.ranges(influence.values, ds.y, BiasSpec(delta, budget), x)
+            decision = Decision.band(np.nextafter(max(hi[0] - base[0], base[0] - lo[0]), 0))
+            verdicts, _ = harness.certify_grid(influence, ds.y, x, delta, {budget: budget},
+                                               decision, ("exact", "approx"))
+            assert not (verdicts["approx"][budget] & ~verdicts["exact"][budget]).any()
 
     def test_unknown_method(self):
         train, _, test = _train_test(seed=3)
