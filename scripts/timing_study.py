@@ -6,8 +6,9 @@ budget, through `certify_grid`, which reports the wall time of each method;
 the fit is not timed, and the approx time includes the hull build.  The
 exact certifier selects over every training label for each test point that
 its rounding-safe screen does not settle; the hull certifier pays a one-time
-hull build and then costs one m-wide range per point.  Prints a header and
-one row per `--points` value.
+hull build and then two matrix products per block of test points, an
+interval dot product over m coefficients per point.  Prints a header and one
+row per `--points` value.
 """
 
 import argparse

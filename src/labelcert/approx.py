@@ -90,9 +90,9 @@ def model_hull(influence: InfluenceMatrix, y: np.ndarray, spec: BiasSpec) -> Mod
     theta0_j + C_j . delta for every reachable delta, computed exactly, with
     a relative margin of gamma_K: (1 + gamma_K)^2 <= 1 + gamma_{2K}, and the
     other three cover the rounding of the padded sum.  `interval_predict`
-    spends that margin on the exact kernel's own rounding.  Each end is that
-    of `prediction_range(C[j], y, spec)` up to the padding and two float
-    steps; at budget 0 the box is the point theta0.
+    spends that margin on the exact kernel's own rounding.  Each end is row
+    j's end of `ranges(C, y, spec)` up to the padding and two float steps;
+    at budget 0 the box is the point theta0.
     """
     y = np.asarray(y, dtype=float)
     if influence.n != y.size or y.size != spec.n:
@@ -219,10 +219,14 @@ def hull_from_dict(payload: dict) -> ModelHull:
         if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
             raise ParseError(f"hull payload key 'fingerprint' is not a SHA-256 hex digest: "
                              f"{fingerprint!r}")
+        base = np.array(payload["base_coefficients"], dtype=float)
+        if base.shape != (len(intervals),):
+            raise ParseError(f"hull payload key 'base_coefficients' must list "
+                             f"{len(intervals)} numbers, got shape {base.shape}")
         hull = ModelHull(
             lower=np.array([iv.lo for iv in intervals]),
             upper=np.array([iv.hi for iv in intervals]),
-            base=ModelCoefficients(np.array(payload["base_coefficients"]), lam),
+            base=ModelCoefficients(base, lam),
             budget=budget,
             fingerprint=fingerprint,
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +35,6 @@ class Interval:
             raise ValueError(f"interval is empty: [{self.lo}, {self.hi}]")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
@@ -75,6 +72,14 @@ class PerturbationVector:
 
     def __len__(self) -> int:
         return self.lo.size
+
+    @cached_property
+    def mirrored(self) -> PerturbationVector:
+        """The intervals [-hi, -lo]: a label moved within them pushes z . y down as far
+        as within [lo, hi] it pushes it up.  Symmetric intervals are their own mirror."""
+        if np.array_equal(self.lo, -self.hi):
+            return self
+        return PerturbationVector(-self.hi, -self.lo)
 
     def __getitem__(self, i: int) -> Interval:
         return Interval(self.lo[i], self.hi[i])

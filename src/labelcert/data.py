@@ -42,6 +42,9 @@ class DatasetSchema:
     def __post_init__(self) -> None:
         features = tuple(self.features)
         categorical = tuple(self.categorical)
+        if not features and not self.add_bias_column:
+            raise ValueError("schema has no feature column: 'features' is empty "
+                             "and add_bias_column is false")
         if self.label in features:
             raise ValueError(f"label column {self.label!r} also listed as a feature")
         names = [self.label, *features]

@@ -9,13 +9,14 @@ in-place partition (introselect) per row selects the top-budget impacts,
 and only those are sorted.  `verdicts` decides a whole budget grid from the
 same blocks and the same sums: it skips the rows that a rounding-safe bound
 already settles, selects toward finite decision limits only, and partitions
-each remaining row once, at the largest budget.
+each remaining row once, at the largest budget.  `decide_exact` is the one
+per-point verdict, with a witness of each end (attained up to rounding).
 The smallest budget that breaks robustness comes from a cumsum over one
-functional's sorted gain values.  Witnesses of each end (attained up to
-rounding), the breaking label vector and fixed-size attacks all move a
-prefix of one greedy label order (decreasing gain, ties to the lowest
-index), picked by value with a partition rather than ordered.  Verdicts are
-judged against a `Decision` (a prediction band or the 0.5 threshold).
+functional's sorted gain values.  Witnesses, the breaking label vector and
+fixed-size attacks all move a prefix of one greedy label order (decreasing
+gain, ties to the lowest index), picked by value with a partition rather
+than ordered.  Verdicts are judged against a `Decision` (a prediction band
+or the 0.5 threshold).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class Decision:
 
     Either a closed band of radius `epsilon` around the base prediction
     (regression), or, when `epsilon` is None, the base prediction's side of
-    the 0.5 threshold (classification).  `limits` is the only place a
-    prediction is judged: exact verdicts, counterexample sides, hull
-    certificates and minimum flips all derive from it.
+    the 0.5 threshold (classification).  A prediction is judged only through
+    `limits` and `keeps`: exact verdicts, counterexample sides, hull
+    certificates and minimum flips all derive from them.
     """
 
     epsilon: float | None
@@ -77,20 +78,6 @@ class Decision:
         low, high = self.limits(base)
         return (low <= lo) & (hi <= high)
 
-    def breach(self, base: float, lo: float, hi: float) -> tuple[bool, str]:
-        """Whether the prediction range [lo, hi] escapes the limits, and from which end.
-
-        Escaping is the negation of `keeps`.  The end is the one reaching
-        further past its limit ("upper" on ties); under the threshold rule
-        only the end toward the other class can.
-        """
-        low, high = self.limits(base)
-        return not self.keeps(base, lo, hi), "upper" if hi - high >= low - lo else "lower"
-
-    def escapes(self, base: float, predictions: np.ndarray) -> np.ndarray:
-        """Elementwise: does each prediction leave the limits?"""
-        return np.logical_not(self.keeps(base, predictions, predictions))
-
 
 @dataclass(frozen=True)
 class PredictionRange:
@@ -103,9 +90,6 @@ class PredictionRange:
     interval: Interval
     lower_witness: np.ndarray
     upper_witness: np.ndarray
-
-    def witness(self, side: str) -> np.ndarray:
-        return self.upper_witness if side == "upper" else self.lower_witness
 
 
 @dataclass(frozen=True)
@@ -175,9 +159,10 @@ def _faces(delta: PerturbationVector):
     With symmetric intervals one gain |z| * hi serves both ends; otherwise the
     lower side's gains are the upper side's under the mirrored intervals.
     """
-    if np.array_equal(delta.lo, -delta.hi):
+    mirrored = delta.mirrored
+    if mirrored is delta:
         return ((("upper", "lower"), (delta.hi,)),)
-    return (("upper",), (delta.hi, delta.lo)), (("lower",), (-delta.hi, -delta.lo))
+    return (("upper",), (delta.hi, delta.lo)), (("lower",), (mirrored.lo, mirrored.hi))
 
 
 def _gains(z: np.ndarray, moves, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -302,14 +287,15 @@ def verdicts(Z, y, delta: PerturbationVector, budgets, decision: Decision, X=Non
     return out
 
 
-def gains(z: np.ndarray, delta: PerturbationVector, side: str) -> np.ndarray:
-    """How far moving each label alone can push z . y toward `side` ("upper" or "lower"):
-    max(z*hi, z*lo) or -min(z*hi, z*lo), the impacts `ranges` selects from.  Never negative."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != delta.lo.shape:
-        raise DimensionMismatch(f"influence vector {z.shape}, intervals {delta.lo.shape}")
-    up, down = z * delta.hi, z * delta.lo
-    return np.maximum(up, down) if side == "upper" else -np.minimum(up, down)
+def _side_gains(z: np.ndarray, delta: PerturbationVector) -> dict:
+    """Each side's gains for one functional z: how far moving each label alone can
+    push z . y toward that side ("upper" or "lower"), the impacts `ranges` selects from.
+    Never negative; a symmetric Δ gives both sides one array."""
+    out = {}
+    for sides, moves in _faces(delta):
+        gain = _gains(z, moves, np.empty_like(z), np.empty_like(z))
+        out.update(dict.fromkeys(sides, gain))
+    return out
 
 
 def _prefix(gain: np.ndarray, k: int, among: np.ndarray | None = None) -> np.ndarray:
@@ -353,49 +339,40 @@ def fixed_attack(
     After the labels with a positive gain, the other movable ones follow by decreasing
     effect: no effect, then least damaging.  NoAttackExists when fewer than k can move."""
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
-    gain = gains(z, delta, side)
-    effect = np.where(gain > 0, gain, -gains(z, delta, "lower" if side == "upper" else "upper"))
+    if z.shape != delta.lo.shape:
+        raise DimensionMismatch(f"influence vector {z.shape}, intervals {delta.lo.shape}")
+    gains = _side_gains(z, delta)
+    gain = gains[side]
+    effect = np.where(gain > 0, gain, -gains["lower" if side == "upper" else "upper"])
     free = np.flatnonzero((delta.lo != 0) | (delta.hi != 0))
     if free.size < k:
         raise NoAttackExists(f"only {free.size} labels may change under this perturbation model")
     return _moved(y, z, delta, side, _prefix(effect, k, free))
 
 
-def _range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> tuple[float, PredictionRange]:
-    """Base value and witnessed reachable interval of one functional."""
+def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decision) -> CertResult:
+    """Exact verdict and witnessed reachable interval of the linear functional z . y.
+
+    The interval is the one `ranges` gives this row.  Each witness moves the
+    first `budget` labels of the greedy order toward its end; both are valid
+    members of the reachable label set, and each one's prediction is its end
+    of the interval up to rounding.  Robust iff the whole interval keeps the
+    decision; otherwise the counterexample is the witness of the end reaching
+    further past its limit ("upper" on ties).  Under the threshold rule only
+    the end toward the other class can.
+    """
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     if z.shape != y.shape:
         raise DimensionMismatch(f"shapes z{z.shape}, y{y.shape} differ")
-    base, lo, hi = ranges(z[None, :], y, spec)
-    delta, budget = spec.delta, spec.budget
-    return float(base[0]), PredictionRange(
-        interval=Interval(lo[0], hi[0]),
-        lower_witness=_moved(y, z, delta, "lower", _prefix(gains(z, delta, "lower"), budget)),
-        upper_witness=_moved(y, z, delta, "upper", _prefix(gains(z, delta, "upper"), budget)),
-    )
-
-
-def prediction_range(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> PredictionRange:
-    """Tight reachable prediction interval for the linear functional z . y.
-
-    The interval is the one `ranges` gives this row.  Each witness moves
-    the first `budget` labels of the greedy order toward its end.  Both are
-    valid members of the reachable label set, and each one's prediction is
-    its end of the interval up to rounding.
-    """
-    return _range(z, y, spec)[1]
-
-
-def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decision) -> CertResult:
-    """Exact verdict against a precomputed influence vector.
-
-    Robust iff the whole reachable prediction interval keeps the decision;
-    otherwise the witness of the escaping end is the counterexample.
-    """
-    base, rng = _range(z, y, spec)
-    escaped, side = decision.breach(base, rng.interval.lo, rng.interval.hi)
-    counterexample = rng.witness(side) if escaped else None
-    return CertResult(not escaped, rng, base, counterexample)
+    (base,), (lo,), (hi,) = ranges(z[None, :], y, spec)
+    gains = _side_gains(z, spec.delta)
+    lower, upper = (_moved(y, z, spec.delta, side, _prefix(gains[side], spec.budget))
+                    for side in ("lower", "upper"))
+    rng = PredictionRange(Interval(lo, hi), lower_witness=lower, upper_witness=upper)
+    if decision.keeps(base, lo, hi):
+        return CertResult(True, rng, float(base), None)
+    low, high = decision.limits(base)
+    return CertResult(False, rng, float(base), upper if hi - high >= low - lo else lower)
 
 
 def certify_from_influence(
@@ -420,7 +397,8 @@ def min_flips_from_influence(
     The k-th step moves the label with the k-th largest gain toward one
     side, so after k steps the prediction sits at the extreme reachable with
     budget k: a cumsum over the sorted positive gain values, the sum `ranges`
-    takes.  Upward and downward excursions are searched separately; the
+    takes, over one full sort per face of `_faces` (a symmetric Δ sorts once
+    for both sides).  Sides toward an infinite limit are skipped.  The
     smaller budget wins, the upward one on ties.  The witness moves the first
     k labels of the greedy order, picked by value.  Returns None when every
     label with a nonzero gain is exhausted and the decision still holds.
@@ -431,16 +409,19 @@ def min_flips_from_influence(
     base = float(z @ y)
     best = None
     low, high = decision.limits(base)
-    for side, sign, limit in (("upper", 1.0, high), ("lower", -1.0, low)):
-        if np.isinf(limit):
-            continue  # no move this way can leave the limits
-        gain = gains(z, delta, side)
+    for sides, moves in _faces(delta):
+        # no move toward an infinite limit can leave the limits
+        sides = [side for side in sides if not np.isinf(high if side == "upper" else low)]
+        if not sides:
+            continue
+        gain = _gains(z, moves, np.empty_like(z), np.empty_like(z))
         ascending = np.sort(gain)
-        positive = ascending[np.searchsorted(ascending, 0.0, side="right") :]
-        reach = base + sign * np.cumsum(positive[::-1])
-        breaking = np.flatnonzero(decision.escapes(base, reach))
-        if breaking.size and (best is None or breaking[0] + 1 < best[0]):
-            best = (int(breaking[0]) + 1, side, gain)
+        total = np.cumsum(ascending[np.searchsorted(ascending, 0.0, side="right") :][::-1])
+        for side in sides:
+            reach = base + total if side == "upper" else base - total
+            breaking = np.flatnonzero(~decision.keeps(base, reach, reach))
+            if breaking.size and (best is None or breaking[0] + 1 < best[0]):
+                best = (int(breaking[0]) + 1, side, gain)
     if best is None:
         return None
     flips, side, gain = best

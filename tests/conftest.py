@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from labelcert import BiasSpec, Dataset
+from labelcert import BiasSpec, Dataset, Decision, decide_exact
 from labelcert.bias import PerturbationVector
 
 
@@ -46,6 +46,11 @@ def random_instance(rng: np.random.Generator, n: int, budget: int, scale: float 
     z = rng.normal(0.0, scale, n)
     y = rng.normal(0.0, scale, n)
     return z, y, BiasSpec(random_delta(rng, n, scale), budget)
+
+
+def witnessed_range(z, y, spec: BiasSpec):
+    """The reachable interval and its witnesses, as `decide_exact` reports them."""
+    return decide_exact(z, y, spec, Decision.threshold()).range
 
 
 def random_dataset(

@@ -6,7 +6,8 @@ they refuse instances large enough to hide quadratic slowdowns.
 
 The `argsort_*` routines are the other kind of reference: the greedy-order
 witnesses, minimum flips and fixed attacks written the direct way, with a
-stable argsort of every gain.  They cost O(n log n), so they take no guard.
+stable argsort of every gain, each gain computed here from its definition.
+They cost O(n log n), so they take no guard.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from labelcert.bias import BiasSpec, Interval, PerturbationVector
 from labelcert.errors import DimensionMismatch, LabelCertError, NonBinaryLabel
-from labelcert.exact import Decision, gains
+from labelcert.exact import Decision
 from labelcert.linalg import Dataset, fit, predict
 
 MAX_LABELS = 15
@@ -131,6 +132,13 @@ def brute_force_classification(
     return True
 
 
+def gains(z, delta: PerturbationVector, side: str) -> np.ndarray:
+    """How far moving each label alone can push z . y toward `side`: max(z*hi, z*lo)
+    upward, -min(z*hi, z*lo) downward.  Never negative."""
+    up, down = z * delta.hi, z * delta.lo
+    return np.maximum(up, down) if side == "upper" else -np.minimum(up, down)
+
+
 def argsort_greedy(gain: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
     """The labels `among` (default: those with a nonzero gain) by decreasing
     gain, ties to the lowest index."""
@@ -164,7 +172,8 @@ def argsort_min_flips(z, y, delta: PerturbationVector, decision: Decision):
             continue
         gain = gains(z, delta, side)
         order = argsort_greedy(gain)
-        breaking = np.flatnonzero(decision.escapes(base, base + sign * np.cumsum(gain[order])))
+        reach = base + sign * np.cumsum(gain[order])
+        breaking = np.flatnonzero(~decision.keeps(base, reach, reach))
         if breaking.size and (best is None or breaking[0] + 1 < best[0]):
             best = (int(breaking[0]) + 1, side, order)
     if best is None:

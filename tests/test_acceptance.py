@@ -28,11 +28,10 @@ from labelcert import (
 from labelcert.approx import interval_predict
 from labelcert.bias import contains, scale_delta
 from labelcert.data import SplitConfig, split, with_bias_column
-from labelcert.exact import (certify_from_influence, classify_from_influence, gains,
-                             prediction_range)
+from labelcert.exact import certify_from_influence, classify_from_influence
 from labelcert.harness import export_attack
 from labelcert.linalg import InfluenceMatrix, influence_vector, predict
-from conftest import random_delta, random_instance, sample_bias_members
+from conftest import random_delta, random_instance, sample_bias_members, witnessed_range
 from oracle import brute_force_classification, brute_force_hull, brute_force_range
 
 
@@ -46,10 +45,12 @@ def test_c01_worked_example_goldens():
     y = np.array([3.0, 4.0])
     spec = BiasSpec(uniform_delta(2, 1.0), 1)
 
-    assert gains(z, spec.delta, "upper").tolist() == [1.0, 2.0]
-    assert gains(z, spec.delta, "lower").tolist() == [1.0, 2.0]
+    # each label's gain is its move at full budget: (1, 2) toward either end
+    full = witnessed_range(z, y, BiasSpec(spec.delta, 2))
+    assert (z * (full.upper_witness - y)).tolist() == [1.0, 2.0]
+    assert (z * (y - full.lower_witness)).tolist() == [1.0, 2.0]
 
-    rng_result = prediction_range(z, y, spec)
+    rng_result = witnessed_range(z, y, spec)
     assert rng_result.interval.lo == 3.0
     assert rng_result.interval.hi == 7.0
 
@@ -68,7 +69,7 @@ def test_c02_oracle_equivalence():
         budget = int(rng.integers(0, min(n, 3) + 1))
         z, y, spec = random_instance(rng, n, budget)
 
-        fast = prediction_range(z, y, spec).interval
+        fast = witnessed_range(z, y, spec).interval
         slow = brute_force_range(z, y, spec)
         np.testing.assert_allclose(fast.lo, slow.lo, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(fast.hi, slow.hi, rtol=1e-9, atol=1e-12)
@@ -102,7 +103,7 @@ def test_c03_hull_soundness_and_tightness():
         assert (coords <= hull.upper + slack).all()
 
         for i in range(m):
-            result = prediction_range(C[i], y, spec)
+            result = witnessed_range(C[i], y, spec)
             for witness, bound in (
                 (result.lower_witness, hull.lower[i]),
                 (result.upper_witness, hull.upper[i]),

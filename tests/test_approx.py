@@ -24,9 +24,9 @@ from labelcert.approx import (
     save_hull,
 )
 from labelcert.errors import DimensionMismatch, ParseError
-from labelcert.exact import Decision, certify_from_influence, prediction_range
+from labelcert.exact import Decision, certify_from_influence
 from labelcert.linalg import InfluenceMatrix, influence_vector
-from conftest import random_dataset, random_delta, sample_bias_members
+from conftest import random_dataset, random_delta, sample_bias_members, witnessed_range
 from oracle import brute_force_hull
 from referee import reaches
 
@@ -117,7 +117,7 @@ class TestModelHull:
         spec = BiasSpec(random_delta(rng, 9), 2)
         hull = model_hull(InfluenceMatrix(C, 0.0), y, spec)
         for i in range(4):
-            result = prediction_range(C[i], y, spec)
+            result = witnessed_range(C[i], y, spec)
             np.testing.assert_allclose(C[i] @ result.lower_witness, hull.lower[i], rtol=1e-9)
             np.testing.assert_allclose(C[i] @ result.upper_witness, hull.upper[i], rtol=1e-9)
 
@@ -164,7 +164,7 @@ class TestIntervalPredict:
             hull = model_hull(influence, ds.y, spec)
             x = rng.normal(size=3)
             z = influence_vector(x, influence)
-            exact = prediction_range(z, ds.y, spec).interval
+            exact = witnessed_range(z, ds.y, spec).interval
             _, lo, hi = interval_predict(hull, x[None])
             slack = 1e-12 * (1.0 + abs(exact.lo) + abs(exact.hi))
             assert lo[0] <= exact.lo + slack
@@ -384,6 +384,9 @@ class TestHullSerialization:
         ("lam", -1.0),
         ("fingerprint", ""),
         ("base_coefficients", [5.0, 0.0, 0.0]),  # 5 lies outside interval 0, [-2, 4]
+        ("base_coefficients", [1.0, 2.0]),  # three intervals
+        ("base_coefficients", [[1.0, 2.0, 3.0]]),
+        ("base_coefficients", None),
     ])
     def test_rejects_fields_model_hull_never_writes(self, key, value):
         payload = hull_to_dict(_hull3())

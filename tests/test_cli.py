@@ -367,6 +367,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--out-dir" in err
 
+    def test_no_feature_column_returns_error_code(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        text = config.read_text().replace('features = ["f1", "f2", "f3"]', "features = []")
+        config.write_text(text.replace("add_bias_column = true", "add_bias_column = false"),
+                          encoding="utf-8")
+        assert main(["certify", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "'features'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_config_file_returns_error_code(self, tmp_path):
         missing = tmp_path / "missing.toml"
         assert main(["certify", "--config", str(missing), "--out-dir", str(tmp_path)]) == 2

@@ -157,6 +157,11 @@ class TestSchema:
         with pytest.raises(ValueError):
             DatasetSchema(label="y", features=("a",), categorical=("b",))
 
+    def test_needs_a_feature_column(self):
+        with pytest.raises(ValueError, match="'features'"):
+            DatasetSchema(label="y", features=())
+        assert DatasetSchema(label="y", features=(), add_bias_column=True).features == ()
+
 
 class TestSplit:
     def test_example_sizes(self, rng):

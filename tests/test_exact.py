@@ -20,14 +20,14 @@ from labelcert.exact import (
     Decision,
     certify_from_influence,
     classify_from_influence,
+    decide_exact,
     fixed_attack,
-    gains,
     min_flips_from_influence,
-    prediction_range,
     ranges,
     verdicts,
 )
-from conftest import dyadic, dyadic_instances, random_dataset, random_delta, random_instance
+from conftest import (dyadic, dyadic_instances, random_dataset, random_delta, random_instance,
+                      witnessed_range)
 from oracle import (
     argsort_fixed_attack,
     argsort_greedy,
@@ -35,6 +35,7 @@ from oracle import (
     argsort_witnesses,
     brute_force_classification,
     brute_force_range,
+    gains,
 )
 
 # The two-label worked example used throughout: z = (-1, 2), y = (3, 4),
@@ -44,42 +45,73 @@ Y2 = np.array([3.0, 4.0])
 SPEC2 = BiasSpec(uniform_delta(2, 1.0), 1)
 
 
+def one_label(base, lo, hi):
+    """(z, y, spec) of one label whose reachable interval is [lo, hi] around `base`
+    (dyadic values keep every end exact)."""
+    delta = PerturbationVector(np.array([lo - base]), np.array([hi - base]))
+    return np.ones(1), np.array([base]), BiasSpec(delta, 1)
+
+
 class TestDecision:
     def test_band_is_closed(self):
         band = Decision.band(2.0)
         assert band.limits(5.0) == (3.0, 7.0)
-        assert band.breach(5.0, 3.0, 7.0) == (False, "upper")
-        assert band.breach(5.0, 2.5, 7.0) == (True, "lower")
         # hi == base + epsilon and lo == base - epsilon exactly still keep
         np.testing.assert_array_equal(
             band.keeps(np.array([5.0, 5.0, 5.0, 5.0]), np.array([3.0, 2.5, 4.0, 3.0]),
                        np.array([7.0, 7.0, 7.125, 5.0])),
             [True, False, False, True],
         )
-        np.testing.assert_array_equal(band.escapes(5.0, np.array([2.5, 3.0, 7.0, 7.5])),
-                                      [True, False, False, True])
+        predictions = np.array([2.5, 3.0, 7.0, 7.5])
+        np.testing.assert_array_equal(band.keeps(5.0, predictions, predictions),
+                                      [False, True, True, False])
+        for lo, hi, robust in ((3.0, 7.0, True), (2.5, 7.0, False)):
+            assert decide_exact(*one_label(5.0, lo, hi), band).robust == robust
 
     def test_band_counterexample_side_is_the_further_escape(self):
         band = Decision.band(1.0)
-        assert band.breach(5.0, 3.0, 7.0) == (True, "upper")  # equal excess: upper
-        assert band.breach(5.0, 2.0, 7.0) == (True, "lower")
+        # SPEC2 reaches [3, 7] around 5: equal excess, so the upper witness
+        equal = decide_exact(Z2, Y2, SPEC2, band)
+        assert not equal.robust
+        np.testing.assert_array_equal(equal.counterexample, equal.range.upper_witness)
+        np.testing.assert_array_equal(equal.counterexample, [3.0, 5.0])
+        # a deeper move down reaches [2, 7]: the lower end escapes further
+        delta = PerturbationVector(np.array([-1.0, -1.5]), np.array([1.0, 1.0]))
+        deeper = decide_exact(Z2, Y2, BiasSpec(delta, 1), band)
+        assert (deeper.range.interval.lo, deeper.range.interval.hi) == (2.0, 7.0)
+        np.testing.assert_array_equal(deeper.counterexample, [3.0, 2.5])
+        assert Z2 @ deeper.counterexample == 2.0
 
     def test_threshold_half_is_class_one(self):
         below = np.nextafter(0.5, 0.0)
         threshold = Decision.threshold()
         assert Decision.label(0.5) and not Decision.label(below)
         # class 1 escapes strictly below 0.5, class 0 escapes at 0.5
-        np.testing.assert_array_equal(threshold.escapes(0.75, np.array([0.5, below])),
-                                      [False, True])
-        np.testing.assert_array_equal(threshold.escapes(0.25, np.array([below, 0.5])),
-                                      [False, True])
-        assert threshold.escapes(0.5, below) and not threshold.escapes(0.5, 9.0)
+        for base, predictions, escaped in ((0.75, [0.5, below], [False, True]),
+                                           (0.25, [below, 0.5], [False, True]),
+                                           (0.5, [below, 9.0], [True, False])):
+            predictions = np.array(predictions)
+            np.testing.assert_array_equal(~threshold.keeps(base, predictions, predictions),
+                                          escaped)
 
     def test_threshold_breaks_only_toward_the_other_class(self):
         threshold = Decision.threshold()
-        assert threshold.breach(0.5, 0.5, 0.9) == (False, "lower")
-        assert threshold.breach(0.7, 0.4, 0.9) == (True, "lower")
-        assert threshold.breach(0.3, 0.1, 0.5) == (True, "upper")
+        # z = (0.25, 0.5), y = (1, 1): base 0.75, class 1
+        z, y = np.array([0.25, 0.5]), np.ones(2)
+        kept = decide_exact(z, y, BiasSpec(uniform_delta(2, 0.5), 1), threshold)
+        assert (kept.range.interval.lo, kept.range.interval.hi) == (0.5, 1.0)
+        assert kept.robust and kept.counterexample is None  # lo == 0.5 is still class 1
+        # the upper end moves much further, yet only the lower end breaks class 1
+        lower = decide_exact(z, y, BiasSpec(PerturbationVector(np.array([0.0, -0.75]),
+                                                               np.array([0.0, 8.0])), 1),
+                             threshold)
+        assert (lower.range.interval.lo, lower.range.interval.hi) == (0.375, 4.75)
+        np.testing.assert_array_equal(lower.counterexample, [1.0, 0.25])
+        # y = (1, 0): base 0.25, class 0, and reaching 0.5 breaks it
+        upper = decide_exact(z, np.array([1.0, 0.0]), BiasSpec(uniform_delta(2, 0.5), 1),
+                             threshold)
+        assert upper.range.interval.hi == 0.5 and not upper.robust
+        np.testing.assert_array_equal(upper.counterexample, [1.0, 0.5])
         # lo == 0.5 keeps class 1 (base 0.75 or base 0.5); reaching 0.5 breaks class 0
         np.testing.assert_array_equal(
             threshold.keeps(np.array([0.75, 0.5, 0.5, 0.25, 0.25]),
@@ -108,11 +140,16 @@ class TestDecision:
 
     @pytest.mark.parametrize("decision", [Decision.band(0.25), Decision.band(0.0),
                                           Decision.threshold()])
-    def test_block_rule_agrees_with_breach(self, decision):
+    def test_block_rule_agrees_with_decide_exact(self, decision):
         cases = [c[1:] for c in self.BOUNDARY_CASES if c[0] == decision]
         base, lo, hi = (np.array(column) for column in zip(*cases))
         block = decision.keeps(base, lo, hi)
-        single = [not decision.breach(*case)[0] for case in cases]
+        single = []
+        for case in cases:
+            result = decide_exact(*one_label(*case), decision)
+            assert (result.base_prediction, result.range.interval.lo,
+                    result.range.interval.hi) == case
+            single.append(result.robust)
         np.testing.assert_array_equal(block, single)
         assert block.any() and not block.all()
 
@@ -129,37 +166,48 @@ class TestDecision:
 
 
 class TestPotentialImpacts:
-    """`gains`: each label's potential impact toward one side of the prediction."""
+    """Each label's potential impact toward one side, as a full-budget witness moves it."""
 
     def test_worked_example_positive(self):
-        np.testing.assert_array_equal(gains(Z2, SPEC2.delta, "upper"), [1.0, 2.0])
+        full = witnessed_range(Z2, Y2, BiasSpec(SPEC2.delta, 2))
+        np.testing.assert_array_equal(Z2 * (full.upper_witness - Y2), [1.0, 2.0])
+        assert full.interval.hi == 8.0
 
     def test_worked_example_negative(self):
-        np.testing.assert_array_equal(gains(Z2, SPEC2.delta, "lower"), [1.0, 2.0])
+        full = witnessed_range(Z2, Y2, BiasSpec(SPEC2.delta, 2))
+        np.testing.assert_array_equal(Z2 * (Y2 - full.lower_witness), [1.0, 2.0])
+        assert full.interval.lo == 2.0
 
     def test_zero_intervals_zero_impacts(self, rng):
-        z = rng.normal(size=5)
-        for side in ("upper", "lower"):
-            np.testing.assert_array_equal(gains(z, uniform_delta(5, 0.0), side), np.zeros(5))
+        z, y = rng.normal(size=5), rng.normal(size=5)
+        for budget in (1, 5):
+            result = witnessed_range(z, y, BiasSpec(uniform_delta(5, 0.0), budget))
+            assert result.interval.lo == result.interval.hi == z @ y
+            np.testing.assert_array_equal(result.upper_witness, y)
+            np.testing.assert_array_equal(result.lower_witness, y)
 
     def test_signs(self, rng):
         # a label moved to its end on the attacked side never loses
         for _ in range(20):
             z, y, spec = random_instance(rng, 8, 3)
-            up, down = (gains(z, spec.delta, side) for side in ("upper", "lower"))
+            full = witnessed_range(z, y, BiasSpec(spec.delta, 8))
+            up, down = z * (full.upper_witness - y), z * (y - full.lower_witness)
             assert (up >= 0).all() and (down >= 0).all()
-            full = prediction_range(z, y, BiasSpec(spec.delta, 8))
-            np.testing.assert_allclose(z * (full.upper_witness - y), up, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(z * (y - full.lower_witness), down, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(up, gains(z, spec.delta, "upper"), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(down, gains(z, spec.delta, "lower"), rtol=1e-12,
+                                       atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            gains(np.ones(3), uniform_delta(2, 1.0), "upper")
+            decide_exact(np.ones(3), np.ones(3), BiasSpec(uniform_delta(2, 1.0), 1),
+                         Decision.threshold())
+        with pytest.raises(DimensionMismatch):
+            fixed_attack(np.ones(3), np.ones(3), uniform_delta(2, 1.0), "upper", 1)
 
 
 class TestPredictionRange:
     def test_worked_example(self):
-        rng_result = prediction_range(Z2, Y2, SPEC2)
+        rng_result = witnessed_range(Z2, Y2, SPEC2)
         assert rng_result.interval.lo == 3.0
         assert rng_result.interval.hi == 7.0
         np.testing.assert_array_equal(rng_result.upper_witness, [3.0, 5.0])
@@ -167,7 +215,7 @@ class TestPredictionRange:
 
     def test_zero_budget_degenerate(self, rng):
         z, y, spec = random_instance(rng, 6, 0)
-        result = prediction_range(z, y, spec)
+        result = witnessed_range(z, y, spec)
         assert result.interval.lo == result.interval.hi == z @ y
         np.testing.assert_array_equal(result.upper_witness, y)
         np.testing.assert_array_equal(result.lower_witness, y)
@@ -175,7 +223,7 @@ class TestPredictionRange:
     def test_matches_brute_force(self, rng):
         for _ in range(40):
             z, y, spec = random_instance(rng, 10, 2)
-            fast = prediction_range(z, y, spec).interval
+            fast = witnessed_range(z, y, spec).interval
             slow = brute_force_range(z, y, spec)
             np.testing.assert_allclose(fast.lo, slow.lo, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(fast.hi, slow.hi, rtol=1e-9, atol=1e-12)
@@ -183,7 +231,7 @@ class TestPredictionRange:
     def test_tie_breaks_toward_lowest_index(self):
         z = np.array([1.0, 1.0, 1.0])
         y = np.zeros(3)
-        result = prediction_range(z, y, BiasSpec(uniform_delta(3, 1.0), 1))
+        result = witnessed_range(z, y, BiasSpec(uniform_delta(3, 1.0), 1))
         np.testing.assert_array_equal(result.upper_witness, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(result.lower_witness, [-1.0, 0.0, 0.0])
 
@@ -192,7 +240,7 @@ class TestPredictionRange:
         z = np.array([1.0, 0.0])
         y = np.array([5.0, 5.0])
         spec = BiasSpec(PerturbationVector(np.array([0.0, -9.0]), np.array([0.0, 9.0])), 2)
-        result = prediction_range(z, y, spec)
+        result = witnessed_range(z, y, spec)
         np.testing.assert_array_equal(result.upper_witness, y)
         np.testing.assert_array_equal(result.lower_witness, y)
 
@@ -200,7 +248,7 @@ class TestPredictionRange:
     @settings(max_examples=80)
     def test_base_inside_and_witnesses_valid(self, instance):
         z, y, spec = instance
-        result = prediction_range(z, y, spec)
+        result = witnessed_range(z, y, spec)
         base = z @ y
         assert result.interval.lo <= base <= result.interval.hi
         # dyadic data keeps witness arithmetic exact, so membership is exact
@@ -219,15 +267,15 @@ class TestPredictionRange:
             n = int(rng.integers(2, 30))
             z, y = rng.normal(size=n), rng.normal(size=n)
             spec = BiasSpec(random_delta(rng, n), int(rng.integers(0, n + 1)))
-            result = prediction_range(z, y, spec)
+            result = witnessed_range(z, y, spec)
             lo, hi = result.interval.lo, result.interval.hi
             tol = 1e-12 * (np.abs(z) @ (np.abs(y) + 2.0))
             for witness, end in ((result.lower_witness, lo), (result.upper_witness, hi)):
                 assert abs(z @ witness - end) <= tol
                 mismatched += z @ witness != end
-            base = exact.decide_exact(z, y, spec, Decision.threshold()).base_prediction
+            base = decide_exact(z, y, spec, Decision.threshold()).base_prediction
             for decision in (Decision.band(hi - base), Decision.band(0.5), Decision.threshold()):
-                cert = exact.decide_exact(z, y, spec, decision)
+                cert = decide_exact(z, y, spec, decision)
                 assert cert.robust == bool(decision.keeps(base, lo, hi))
                 if not cert.robust:
                     low, high = decision.limits(cert.base_prediction)
@@ -241,8 +289,8 @@ class TestPredictionRange:
         z, y, spec = instance
         if spec.budget >= spec.n:
             return
-        small = prediction_range(z, y, spec).interval
-        big = prediction_range(z, y, BiasSpec(spec.delta, spec.budget + 1)).interval
+        small = witnessed_range(z, y, spec).interval
+        big = witnessed_range(z, y, BiasSpec(spec.delta, spec.budget + 1)).interval
         assert big.lo <= small.lo and small.hi <= big.hi
 
     @given(dyadic_instances())
@@ -250,7 +298,7 @@ class TestPredictionRange:
     def test_exactly_matches_oracle_on_dyadic_grid(self, instance):
         # every operation is exact on the 1/8 grid, so equality must be exact
         z, y, spec = instance
-        fast = prediction_range(z, y, spec).interval
+        fast = witnessed_range(z, y, spec).interval
         slow = brute_force_range(z, y, spec)
         assert (fast.lo, fast.hi) == (slow.lo, slow.hi)
 
@@ -276,7 +324,7 @@ class TestRanges:
             base, lo, hi = ranges(Z, y, spec)
             np.testing.assert_allclose(base, Z @ y, rtol=1e-12, atol=1e-12)
             for i, z in enumerate(Z):
-                single = prediction_range(z, y, spec).interval
+                single = witnessed_range(z, y, spec).interval
                 np.testing.assert_allclose([lo[i], hi[i]], [single.lo, single.hi],
                                            rtol=1e-12, atol=1e-12)
                 slow = brute_force_range(z, y, spec)
@@ -529,7 +577,7 @@ class TestCertifyRegression:
 
     def test_large_epsilon_always_robust(self, rng):
         z, y, spec = random_instance(rng, 8, 2)
-        result = prediction_range(z, y, spec)
+        result = witnessed_range(z, y, spec)
         base = z @ y
         eps = max(result.interval.hi - base, base - result.interval.lo)
         assert certify_from_influence(z, y, spec, eps).robust
@@ -675,6 +723,14 @@ class TestMinFlips:
         up = min_flips_from_influence(z, y, delta, Decision.band(0.5))
         assert up.flips == 1 and up.side == "upper"
 
+    def test_symmetric_tie_between_sides_goes_upper(self):
+        # one gain array serves both sides, and each breaks the band at k = 1
+        z, y = np.array([1.0, -1.0]), np.zeros(2)
+        result = min_flips_from_influence(z, y, uniform_delta(2, 1.0), Decision.band(0.5))
+        assert (result.flips, result.side, result.prediction) == (1, "upper", 1.0)
+        np.testing.assert_array_equal(result.witness, [1.0, 0.0])
+        assert argsort_min_flips(z, y, uniform_delta(2, 1.0), Decision.band(0.5))[1] == "upper"
+
     @given(dyadic_instances(max_n=6))
     @settings(max_examples=60)
     def test_consistent_with_band_verdicts(self, instance):
@@ -750,7 +806,7 @@ class TestGreedyOrder:
             attack = fixed_attack(z, y, delta, "upper", k)
             assert sorted(np.flatnonzero(attack != y)) == sorted(order[:k])
             if k <= 3:  # within the helpful rows it is the upper witness
-                witness = prediction_range(z, y, BiasSpec(delta, k)).upper_witness
+                witness = witnessed_range(z, y, BiasSpec(delta, k)).upper_witness
                 np.testing.assert_array_equal(attack, witness)
         np.testing.assert_array_equal(attack, [0.0, 1, 1, 0, 0, 0, 0, 0])
         with pytest.raises(NoAttackExists, match="only 7 labels"):
@@ -763,8 +819,9 @@ class TestGreedyOrder:
         z, y, spec = instance
         result = min_flips_from_influence(z, y, spec.delta, decision)
         if result is not None:
-            at_k = prediction_range(z, y, BiasSpec(spec.delta, result.flips))
-            np.testing.assert_array_equal(result.witness, at_k.witness(result.side))
+            at_k = witnessed_range(z, y, BiasSpec(spec.delta, result.flips))
+            witness = at_k.upper_witness if result.side == "upper" else at_k.lower_witness
+            np.testing.assert_array_equal(result.witness, witness)
 
 
 @st.composite
@@ -803,7 +860,7 @@ def assert_matches_argsort(z, y, delta, decision, budgets, counts):
         np.testing.assert_array_equal(new.witness, witness)
     for budget in budgets:
         spec = BiasSpec(delta, budget)
-        got = prediction_range(z, y, spec)
+        got = witnessed_range(z, y, spec)
         lower, upper = argsort_witnesses(z, y, spec)
         np.testing.assert_array_equal(got.lower_witness, lower)
         np.testing.assert_array_equal(got.upper_witness, upper)
