@@ -148,6 +148,20 @@ class TestLoadCsv:
         assert again.group_labels == ds.group_labels
 
 
+class TestWriteCsv:
+    def test_golden_bytes(self, tmp_path):
+        ds = Dataset(np.array([[0.1, -0.0], [1e-300, 2.5], [-1 / 3, 1e16]]),
+                     np.array([-0.0, 1.0, 0.1]), ("a", "b c"), ("g1", 'x,"y"', ""))
+        path = tmp_path / "golden.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == (
+            b'a,b c,label,group\r\n'
+            b'0.10000000000000001,-0,-0,g1\r\n'
+            b'1e-300,2.5,1,"x,""y"""\r\n'
+            b'-0.33333333333333331,10000000000000000,0.10000000000000001,\r\n'
+        )
+
+
 class TestSchema:
     def test_label_cannot_be_feature(self):
         with pytest.raises(ValueError):

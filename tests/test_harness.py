@@ -20,7 +20,7 @@ from labelcert import (
 )
 from labelcert import exact, harness
 from labelcert.approx import model_hull
-from labelcert.bias import contains
+from labelcert.bias import PerturbationVector, contains
 from labelcert.config import ExperimentConfig
 from labelcert.data import SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
@@ -348,6 +348,21 @@ class TestExportAttack:
             export_attack(np.array([0.2, 1.0]), ds, classification_delta(ds.y), influence,
                           flips, tmp_path / "labels.csv")
         assert lams == [0.05, 0.05]
+
+    @pytest.mark.parametrize("flips, body", [
+        ("minimal", "0,0,1\r\n1,1,0\r\n2,-0,0\r\n3,0,0\r\n4,1,0\r\n5,0,0\r\n"),
+        (2, "0,0,1\r\n1,0,1\r\n2,-0,0\r\n3,0,0\r\n4,1,0\r\n5,0,0\r\n"),
+        (6, "0,0,1\r\n1,0,1\r\n2,1,1\r\n3,1,1\r\n4,0,1\r\n5,0.10000000000000001,1\r\n"),
+    ])
+    def test_label_file_golden_bytes(self, tmp_path, flips, body):
+        # -0 survives unchanged rows, and the last row's flip interval stops at 0.1
+        X = np.array([[1.0, 1.0], [0.9, 1.0], [-1.0, 1.0], [-0.9, 1.0], [0.1, 1.0], [0.3, 1.0]])
+        ds = Dataset(X, np.array([1.0, 1.0, -0.0, 0.0, 1.0, 0.0]))
+        delta = PerturbationVector(np.array([-1.0, -1.0, 0.0, 0.0, -1.0, 0.0]),
+                                   np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.1]))
+        path = tmp_path / "labels.csv"
+        export_attack(np.array([0.2, 1.0]), ds, delta, fit(ds, 0.05)[1], flips, path)
+        assert path.read_bytes() == ("index,label,changed\r\n" + body).encode()
 
 
 def _read_labels(path):
