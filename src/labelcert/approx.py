@@ -198,17 +198,31 @@ def hull_to_dict(hull: ModelHull) -> dict:
     }
 
 
+def _finite(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _entries(payload: dict, key: str, read) -> list:
+    """`read` of each entry of the list under `key`; a wrong type raises ParseError naming it."""
+    try:
+        return [read(entry) for entry in payload[key]]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"hull payload key {key!r} has a malformed entry: {exc}") from None
+
+
 def hull_from_dict(payload: dict) -> ModelHull:
     """Inverse of `hull_to_dict`.  A missing or malformed key, `format` included, raises
     ParseError naming it, as does anything `model_hull` never writes: no intervals, an
-    empty or unbounded interval, a base coefficient outside its interval, a ridge strength
-    that is not a finite number >= 0, a budget that is not a count, or a fingerprint that
-    is not a SHA-256 hex digest."""
+    empty or unbounded interval, a base coefficient that is not a finite number inside
+    its interval, a ridge strength that is not a finite number >= 0, a budget that is not
+    a count, or a fingerprint that is not a SHA-256 hex digest."""
     found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
     if found != _HULL_FORMAT:
         raise ParseError(f"unrecognized hull payload format: {found!r}")
     try:
-        intervals = [Interval(*pair) for pair in payload["intervals"]]
+        intervals = _entries(payload, "intervals", lambda pair: Interval(*pair))
         if not intervals:
             raise ParseError("hull payload key 'intervals' is empty")
         lam, budget, fingerprint = payload["lam"], payload["budget"], payload["fingerprint"]
@@ -219,7 +233,7 @@ def hull_from_dict(payload: dict) -> ModelHull:
         if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
             raise ParseError(f"hull payload key 'fingerprint' is not a SHA-256 hex digest: "
                              f"{fingerprint!r}")
-        base = np.array(payload["base_coefficients"], dtype=float)
+        base = np.array(_entries(payload, "base_coefficients", _finite))
         if base.shape != (len(intervals),):
             raise ParseError(f"hull payload key 'base_coefficients' must list "
                              f"{len(intervals)} numbers, got shape {base.shape}")

@@ -1,17 +1,26 @@
 """Dataset ingestion, splitting, and synthetic generators.
 
 CSV files are RFC-4180, UTF-8 (a leading byte-order mark is skipped), with a
-mandatory header row.  Categorical columns one-hot expand in first-appearance
-order; an all-ones bias column can be appended as the last feature.  Numeric
-output is written at 17 significant digits so a write/load round trip is
-bit-identical.
+mandatory header row; a numeric cell is what Python's `float` reads.
+Categorical columns one-hot expand in first-appearance order; an all-ones bias
+column can be appended as the last feature.  Numeric output is written at 17
+significant digits so a write/load round trip is bit-identical.
+
+Reads and writes are array operations that give the csv module's results.  A
+file is read once and its numeric columns parse in one numpy pass; only a file
+with a quote, a line break the csv module does not know, an ASCII separator
+character or an over-long line goes through the csv module (`load_csv` lists
+them).  Writers format whole columns (`write_columns`) and write once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,21 +88,76 @@ class SplitConfig:
             raise ValueError(f"fold count must be >= 1, got {self.folds}")
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+# Characters that send a file to the csv module (see `load_csv`).
+_CSV_MODULE_CHARS = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+
+
+class _Table:
+    """A CSV file read once: its header and its data rows.
+
+    `lines` holds the data rows unsplit when each row's cells are the text between
+    its commas; `rows` then splits them on first use.  A file that only the csv
+    module reads right has no `lines`, and `rows` comes from `csv.reader`.
+    """
+
+    def __init__(self, header: list[str], lines: list[str] | None,
+                 rows: list[list[str]] | None = None) -> None:
+        self.header, self.lines = header, lines
+        if rows is not None:
+            self.rows = rows
+
+    @cached_property
+    def rows(self) -> list[list[str]]:
+        return [line.split(",") for line in self.lines]
+
+    def __len__(self) -> int:
+        return len(self.rows if self.lines is None else self.lines)
+
+    def numbers(self, names: list[str], cols: list[int]) -> np.ndarray:
+        """Columns `cols` of the data rows as an (n, len(cols)) array of finite floats.
+
+        Unsplit lines parse in one numpy pass.  The csv module's rows, and lines whose
+        numpy parse fails or gives a non-finite value, go column by column through
+        `_column`, which raises NonNumericValue at the first bad cell."""
+        if self.lines:
+            try:
+                values = np.loadtxt(self.lines, delimiter=",", usecols=cols, comments=None,
+                                    ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(values).all():
+                    return values
+        return np.column_stack([_column(self.rows, col, name) for col, name in zip(cols, names)])
+
+    def strings(self, col: int) -> list[str]:
+        return [row[col] for row in self.rows]
+
+
+def _read_table(path: str | Path) -> _Table:
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
+    lines = text.splitlines()
+    limit = csv.field_size_limit()
+    if (any(char in text for char in _CSV_MODULE_CHARS)
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        widths = list(map(len, rows))
+        table = _Table(rows[0] if rows else [], None, rows[1:])
+    else:
+        widths = [line.count(",") + 1 if line else 0 for line in lines]
+        table = _Table(lines[0].split(",") if widths and widths[0] else [], lines[1:])
+    if not widths:
         raise ParseError(f"{path}: file is empty, header row required")
-    header, body = rows[0], rows[1:]
-    width = len(header)
-    for ridx, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {ridx} has {len(row)} fields, expected {width}")
-    return header, body
+    for ridx, fields in enumerate(widths[1:], start=2):
+        if fields != widths[0]:
+            raise ParseError(f"{path}: row {ridx} has {fields} fields, expected {widths[0]}")
+    return table
 
 
 def _cell(rows: list[list[str]], col: int, ridx: int, name: str) -> float:
@@ -131,9 +195,28 @@ def load_csv(
     columns named ``col=value`` in first-appearance order; the bias column,
     when requested, is appended last.  A column the schema reads must appear
     once in the header; duplicates of other columns are ignored.
+
+    The file is read once.  Rows split at ``\\n``, ``\\r\\n`` and ``\\r`` and then at
+    commas, and the numeric columns parse in one numpy pass; categorical and
+    group cells are the text between commas.  Only a file holding one of these
+    goes through the csv module instead, as the split or numpy could read it
+    otherwise:
+
+    - a quote, since a quoted cell may hold commas and line ends
+    - a line break that ``str.splitlines`` knows and the csv module does not:
+      ``\\v``, ``\\f``, U+001C-U+001E, U+0085, U+2028 or U+2029
+    - U+001F, which numpy, like U+001C-U+001E, strips from a number as
+      whitespace, while ``float`` refuses it
+    - a line longer than ``csv.field_size_limit()``, so that the csv module
+      can refuse a cell past that limit
+
+    Either way the cells, values and errors are the same: a numeric cell is
+    what Python's ``float`` reads, and a failed or non-finite numpy parse falls
+    back to a cell-by-cell scan that names the first bad cell's row and column.
     """
-    header, body = _read_rows(path)
-    if not body:
+    table = _read_table(path)
+    header = table.header
+    if not len(table):
         raise ParseError(f"{path}: no data rows")
     index = {name: i for i, name in enumerate(header)}
     for name in (schema.label, *schema.features, *((schema.group,) if schema.group else ())):
@@ -143,26 +226,25 @@ def load_csv(
             raise ParseError(f"{path}: column {name!r} appears {header.count(name)} times "
                              f"in header {header}")
 
+    numeric = [name for name in schema.features if name not in schema.categorical]
+    numeric.append(schema.label)
+    values = table.numbers(numeric, [index[name] for name in numeric])
     columns: list[np.ndarray] = []
     names: list[str] = []
     for feature in schema.features:
-        col = index[feature]
         if feature in schema.categorical:
-            categories: list[str] = []
-            for row in body:
-                if row[col] not in categories:
-                    categories.append(row[col])
-            for cat in categories:
-                columns.append(np.array([1.0 if row[col] == cat else 0.0 for row in body]))
+            cells = table.strings(index[feature])
+            for cat in dict.fromkeys(cells):
+                columns.append(np.array([cell == cat for cell in cells], dtype=float))
                 names.append(f"{feature}={cat}")
         else:
-            columns.append(_column(body, col, feature))
+            columns.append(values[:, numeric.index(feature)])
             names.append(feature)
     if schema.add_bias_column:
-        columns.append(np.ones(len(body)))
+        columns.append(np.ones(len(table)))
         names.append(BIAS_COLUMN)
 
-    y = _column(body, index[schema.label], schema.label)
+    y = values[:, -1]
     if require_binary_labels and not np.isin(y, (0.0, 1.0)).all():
         bad = int(np.argmax(~np.isin(y, (0.0, 1.0))))
         raise NonNumericValue(
@@ -172,24 +254,48 @@ def load_csv(
 
     groups = None
     if schema.group is not None:
-        gcol = index[schema.group]
-        groups = tuple(row[gcol] for row in body)
+        groups = tuple(table.strings(index[schema.group]))
     return Dataset(np.column_stack(columns), y, tuple(names), groups)
+
+
+def _quote(cell: str) -> str:
+    """`cell` as csv.writer's default dialect writes it: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line end."""
+    if any(char in cell for char in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a CSV column by column, byte for byte as csv.writer's default dialect
+    writes its rows (`\\r\\n` line ends, minimal quoting).
+
+    Each column is formatted whole from its `.tolist()` values: a float array at
+    17 significant digits, so that loading the file gives back the same bits, an
+    integer or boolean array as integers, and anything else as strings.
+    """
+    cells = []
+    for column in columns:
+        kind = getattr(column, "dtype", np.dtype(object)).kind
+        if kind == "f":
+            cells.append(list(map("%.17g".__mod__, column.tolist())))
+        elif kind in "biu":
+            cells.append(list(map("%d".__mod__, column.tolist())))
+        else:
+            cells.append(list(map(_quote, column)))
+    lines = [",".join(map(_quote, header)), *map(",".join, zip(*cells)), ""]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("\r\n".join(lines))
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write features, `label` (and `group`) columns with 17-significant-digit numerics."""
     header = [*dataset.feature_names, "label"]
+    columns = [*dataset.X.T, dataset.y]
     if dataset.group_labels is not None:
         header.append("group")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [f"{v:.17g}" for v in dataset.X[i]] + [f"{dataset.y[i]:.17g}"]
-            if dataset.group_labels is not None:
-                row.append(dataset.group_labels[i])
-            writer.writerow(row)
+        columns.append(dataset.group_labels)
+    write_columns(path, header, columns)
 
 
 def schema_for(dataset: Dataset) -> DatasetSchema:
@@ -319,10 +425,9 @@ def synth_demographic(n: int, minority_fraction: float, seed: int = 0) -> Datase
 
 def read_delta_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read per-label interval bounds from a two-column (lo, hi) CSV."""
-    header, body = _read_rows(path)
-    lowered = [h.strip().lower() for h in header]
+    table = _read_table(path)
+    lowered = [h.strip().lower() for h in table.header]
     if lowered[:2] != ["lo", "hi"]:
-        raise ParseError(f"{path}: expected header 'lo,hi', got {header}")
-    lo = _column(body, 0, "lo")
-    hi = _column(body, 1, "hi")
+        raise ParseError(f"{path}: expected header 'lo,hi', got {table.header}")
+    lo, hi = table.numbers(["lo", "hi"], [0, 1]).T
     return lo, hi

@@ -19,7 +19,7 @@ import numpy as np
 from .approx import decide_approx_rows, model_hull
 from .bias import BiasSpec, PerturbationVector, contains
 from .config import ExperimentConfig, build_delta, resolve_budget
-from .data import fold_rows, load_csv
+from .data import fold_rows, load_csv, write_columns
 from .errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -385,11 +385,8 @@ def export_attack(
     new_pred = predict(refit, x)
     old_class, new_class = Decision.label(base), Decision.label(new_pred)
 
-    with open(labels_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "label", "changed"])
-        for i in range(dataset.n):
-            writer.writerow([i, f"{y_tilde[i]:.17g}", int(y_tilde[i] != y[i])])
+    write_columns(labels_path, ("index", "label", "changed"),
+                  (np.arange(dataset.n), y_tilde, y_tilde != y))
 
     return {
         "mode": mode,

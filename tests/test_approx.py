@@ -387,6 +387,9 @@ class TestHullSerialization:
         ("base_coefficients", [1.0, 2.0]),  # three intervals
         ("base_coefficients", [[1.0, 2.0, 3.0]]),
         ("base_coefficients", None),
+        ("base_coefficients", ["a", "b", "c"]),
+        ("base_coefficients", [float("nan"), 3.0, 1.0]),
+        ("intervals", [[0, "x"], [-1.0, 4.0], [-1.0, 4.0]]),
     ])
     def test_rejects_fields_model_hull_never_writes(self, key, value):
         payload = hull_to_dict(_hull3())

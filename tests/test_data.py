@@ -1,9 +1,12 @@
 """Tests for CSV ingestion, splitting, and the synthetic generators."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from labelcert import Dataset, synth_classification, synth_demographic
+from labelcert import Dataset, data, synth_classification, synth_demographic
 from labelcert.data import (
     DatasetSchema,
     SplitConfig,
@@ -17,6 +20,7 @@ from labelcert.data import (
 from labelcert.errors import (
     BadFeatureCount,
     BadFraction,
+    LabelCertError,
     MissingColumn,
     NonNumericValue,
     ParseError,
@@ -92,7 +96,7 @@ class TestLoadCsv:
             load_csv(path, DatasetSchema(label="target", features=("a",)))
 
     def test_cells_parse_as_python_float(self, tmp_path):
-        cells = [" 1.5 ", "1e-3", "+2", "-0", "7"]
+        cells = [" 1.5 ", "1e-3", "+2", "-0", "7", "1_000", "\u0661\u0662", "\xa03\u2007"]
         body = "".join(f"{cell},{i % 2}\n" for i, cell in enumerate(cells))
         ds = load_csv(_write(tmp_path, "a,target\n" + body),
                       DatasetSchema(label="target", features=("a",)))
@@ -148,6 +152,117 @@ class TestLoadCsv:
         assert again.group_labels == ds.group_labels
 
 
+def _quoted(text):
+    """The same table with every cell quoted, so that the csv module reads it."""
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    buffer = io.StringIO()
+    csv.writer(buffer, quoting=csv.QUOTE_ALL).writerows(
+        csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    return bom + buffer.getvalue()
+
+
+def _outcome(read, path):
+    """What `read` gives for the file: its arrays' bits and shapes and its other
+    fields, or the error's type and message."""
+    try:
+        result = read(path)
+    except LabelCertError as exc:
+        return type(exc), str(exc).replace(str(path), "<file>")
+    if isinstance(result, Dataset):
+        result = (result.X, result.y, result.feature_names, result.group_labels)
+    return [(a.tobytes(), a.shape) if isinstance(a, np.ndarray) else a for a in result]
+
+
+_SCHEMA = DatasetSchema(label="hi", features=("lo",))
+_GROUPED = DatasetSchema(label="hi", features=("lo", "color"), group="race",
+                         categorical=("color",), add_bias_column=True)
+
+# (text, schema, what load_csv gives: None when the file loads, else the error
+# type and the start of its message)
+_PARITY = {
+    "bom-crlf": ("\ufefflo,hi\r\n1,-0\r\n-2.5,1\r\n", _SCHEMA, None),
+    "blank-middle-line": ("lo,hi\n1,0\n\n2,1\n", _SCHEMA,
+                          (ParseError, "<file>: row 3 has 0 fields, expected 2")),
+    "trailing-crlf-crlf": ("lo,hi\r\n1,0\r\n2,1\r\n\r\n", _SCHEMA,
+                           (ParseError, "<file>: row 4 has 0 fields, expected 2")),
+    "short-row-unused-after": ("lo,hi,x,z\n1,0,5,6\n2,1,5\n", _SCHEMA,
+                               (ParseError, "<file>: row 3 has 3 fields, expected 4")),
+    "underscore-and-arabic-digits": ("lo,hi\n1_000,0\n\u0661\u0662,1\n", _SCHEMA, None),
+    "quoted-numbers": ('lo,hi\n"1.5",0\n2,"1"\n', _SCHEMA, None),
+    "nul-byte": ("lo,hi\n1\x00,0\n", _SCHEMA,
+                 (NonNumericValue, "row 2, column 'lo': cannot parse '1\\x00'")),
+    "nan": ("lo,hi\n1,0\nnan,1\n", _SCHEMA,
+            (NonNumericValue, "row 3, column 'lo': cannot parse 'nan'")),
+    "space-inf": ("lo,hi\n1,0\n2, inf\n", _SCHEMA,
+                  (NonNumericValue, "row 3, column 'hi': cannot parse ' inf'")),
+    "empty-cell": ("lo,hi\n1,\n", _SCHEMA,
+                   (NonNumericValue, "row 2, column 'hi': cannot parse ''")),
+    "duplicate-unused-column": ("lo,hi,x,x\n1,0,7,8\n-3,1,9,10\n", _SCHEMA, None),
+    "categorical-and-group": ("lo,hi,color,race\n1.25,0,B,X\n-2,1,A,Y\n3,1,B,X\n",
+                              _GROUPED, None),
+    "lone-cr-line-ends": ("lo,hi\r1,0\r\n2,1\n3,0\r", _SCHEMA, None),
+    "cr-inside-row": ("lo,hi\n1,\r0\n", _SCHEMA,
+                      (ParseError, "<file>: row 3 has 1 fields, expected 2")),
+    "separator-char": ("lo,hi\n\x1c1,0\n", _SCHEMA,
+                       (NonNumericValue, "row 2, column 'lo': cannot parse '\\x1c1'")),
+    "form-feed-and-line-separator": ("lo,hi\n1\x0c,0\n2\u2028,1\n", _SCHEMA, None),
+    "header-only": ("lo,hi\n", _SCHEMA, (ParseError, "<file>: no data rows")),
+}
+
+
+class TestLoadParity:
+    """Every file reads as the csv module and `float` read it: the same arrays, bit for
+    bit, or the same error.  Quoting every cell gives the csv module's reading."""
+
+    @pytest.mark.parametrize("case", list(_PARITY))
+    @pytest.mark.parametrize("reader", ["load_csv", "read_delta_csv"])
+    def test_same_as_csv_module(self, tmp_path, case, reader):
+        text, schema, expected = _PARITY[case]
+        read = read_delta_csv if reader == "read_delta_csv" else (
+            lambda path: load_csv(path, schema))
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        quoted.write_bytes(_quoted(text).encode("utf-8"))
+        outcome = _outcome(read, plain)
+        assert outcome == _outcome(read, quoted)
+        if reader == "load_csv":
+            if expected is None:
+                assert isinstance(outcome, list), outcome
+            else:
+                assert outcome[0] is expected[0] and outcome[1].startswith(expected[1]), outcome
+
+    def test_values_and_signed_zero(self, tmp_path):
+        path = _write(tmp_path, _PARITY["bom-crlf"][0])
+        ds = load_csv(path, _SCHEMA)
+        np.testing.assert_array_equal(ds.X[:, 0], [1.0, -2.5])
+        assert np.signbit(ds.y).tolist() == [True, False]
+        lo, hi = read_delta_csv(path)
+        assert np.signbit(hi).tolist() == [True, False]
+        ds = load_csv(_write(tmp_path, _PARITY["underscore-and-arabic-digits"][0]), _SCHEMA)
+        np.testing.assert_array_equal(ds.X[:, 0], [1000.0, 12.0])
+
+    def test_field_past_csv_size_limit(self, tmp_path):
+        path = _write(tmp_path, f"lo,hi\n1,{'0' * (csv.field_size_limit() + 1)}\n")
+        for read in (read_delta_csv, lambda p: load_csv(p, _SCHEMA)):
+            with pytest.raises(ParseError, match="field larger than field limit"):
+                read(path)
+
+    def test_plain_file_takes_neither_csv_module_nor_cell_scan(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the numpy path")
+
+        text = "lo,hi,color\r\n" + "".join(f"{i / 7},{i % 2},c{i % 3}\r\n" for i in range(40))
+        monkeypatch.setattr(data.csv, "reader", refuse)
+        monkeypatch.setattr(data, "_column", refuse)
+        ds = load_csv(_write(tmp_path, text), DatasetSchema(
+            label="hi", features=("lo", "color"), categorical=("color",)))
+        np.testing.assert_array_equal(ds.X[:, 0], [i / 7 for i in range(40)])
+        assert ds.feature_names == ("lo", "color=c0", "color=c1", "color=c2")
+        # a cell numpy refuses goes to the cell-by-cell scan
+        with pytest.raises(AssertionError, match="numpy path"):
+            load_csv(_write(tmp_path, "lo,hi\n1_000,0\n"), _SCHEMA)
+
+
 class TestWriteCsv:
     def test_golden_bytes(self, tmp_path):
         ds = Dataset(np.array([[0.1, -0.0], [1e-300, 2.5], [-1 / 3, 1e16]]),
@@ -160,6 +275,19 @@ class TestWriteCsv:
             b'1e-300,2.5,1,"x,""y"""\r\n'
             b'-0.33333333333333331,10000000000000000,0.10000000000000001,\r\n'
         )
+
+    def test_matches_csv_writer(self, tmp_path, rng):
+        groups = ("", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", " pad ", "plain")
+        ds = Dataset(rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-300, 300, size=(7, 2)),
+                     rng.normal(size=7), ("x,1", 'q"'), groups)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow([*ds.feature_names, "label", "group"])
+        for i in range(ds.n):
+            writer.writerow([*(f"{v:.17g}" for v in ds.X[i]), f"{ds.y[i]:.17g}", groups[i]])
+        path = tmp_path / "out.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 class TestSchema:
