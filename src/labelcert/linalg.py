@@ -21,10 +21,10 @@ from .errors import DimensionMismatch, SingularMatrix
 
 # Smallest admissible Cholesky pivot, relative to the largest Gram diagonal.
 PIVOT_RATIO_THRESHOLD = 1e-12
-# Most right-hand-side entries per triangular solve in `fit`.  OpenBLAS runs
-# larger solves on several threads, and its idle worker then busy-waits for
-# about 0.1 s, taking CPU from whatever runs next; a column's solution does
-# not depend on how many columns are solved together.
+# Most entries per `dpotrs` right-hand side and per row-block product in `fit`.
+# OpenBLAS runs larger calls on several threads, and its worker then busy-waits
+# for ~0.13 s of CPU: `dpotrs` on a whole 32x32 identity (1024 entries) wakes it,
+# and `dpotri` does so even on a 6x6 factor.  No column or row depends on its chunk.
 SOLVE_ELEMS = 1023
 
 
@@ -90,10 +90,6 @@ class Dataset:
             groups = tuple(self.group_labels[i] for i in rows)
         return Dataset(self.X[rows], self.y[rows], self.feature_names, groups)
 
-    def with_labels(self, y: np.ndarray) -> "Dataset":
-        """Same rows and features, different labels (used when refitting)."""
-        return Dataset(self.X, y, self.feature_names, self.group_labels)
-
 
 @dataclass(frozen=True)
 class ModelCoefficients:
@@ -149,9 +145,17 @@ def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, Influenc
     labels y', so C amortizes over any number of test points and label
     variants.  Raises SingularMatrix when X'X + lam*I is not safely positive
     definite (typically lam = 0 with collinear features).
+
+    C' = X W in row blocks, W = G^-1 for G = X'X + lam*I, from chunked `dpotrs`
+    on identity columns and symmetrised from its lower triangle; `dpotri` would
+    wake a second BLAS thread (see SOLVE_ELEMS).  The forward error is of order
+    kappa(G)*u, as for triangular solves (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 14; Druinsky and Toledo, "How accurate is
+    inv(A)*b?", 2012), and the pivot-ratio guard bounds kappa(G).
     """
     _check_lam(lam)
-    gram = dataset.X.T @ dataset.X + lam * np.eye(dataset.m)
+    X, m = dataset.X, dataset.m
+    gram = X.T @ X + lam * np.eye(m)
     try:
         factor = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -165,14 +169,19 @@ def fit(dataset: Dataset, lam: float = 0.0) -> tuple[ModelCoefficients, Influenc
             f"(pivot ratio {pivots.min() / np.diag(gram).max():.3e}); "
             "increase the ridge strength"
         )
-    C = np.empty((dataset.m, dataset.n), order="F")
-    step = max(1, SOLVE_ELEMS // dataset.m)
-    for start in range(0, dataset.n, step):
-        rows = slice(start, start + step)
+    step = max(1, SOLVE_ELEMS // m)
+    W = np.eye(m, order="F")
+    for start in range(0, m, step):
+        cols = slice(start, start + step)
         # LAPACK directly: `cho_solve`'s checks cost more than these small solves
-        C[:, rows], info = dpotrs(factor[0], dataset.X[rows].T, lower=1)
+        W[:, cols], info = dpotrs(factor[0], W[:, cols], lower=1)
         if info:
             raise RuntimeError(f"dpotrs failed with info={info}")
+    W = np.tril(W) + np.tril(W, -1).T
+    C = np.empty((m, dataset.n), order="F")
+    for start in range(0, dataset.n, step):
+        rows = slice(start, start + step)
+        np.matmul(X[rows], W, out=C.T[rows])
     return ModelCoefficients(C @ dataset.y, lam), InfluenceMatrix(C, lam)
 
 
@@ -187,13 +196,3 @@ def influence_vector(x: np.ndarray, influence: InfluenceMatrix) -> np.ndarray:
     if x.shape != (influence.m,):
         raise DimensionMismatch(f"test point has shape {x.shape}, expected ({influence.m},)")
     return _frozen(x @ influence.values)
-
-
-def predict(coefficients: ModelCoefficients, x: np.ndarray) -> float:
-    """The linear model at a point x (m,), summed elementwise."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != coefficients.values.shape:
-        raise DimensionMismatch(
-            f"test point has shape {x.shape}, expected ({coefficients.values.size},)"
-        )
-    return float((x * coefficients.values).sum())

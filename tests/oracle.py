@@ -19,7 +19,7 @@ import numpy as np
 from labelcert.bias import BiasSpec, Interval, PerturbationVector
 from labelcert.errors import DimensionMismatch, LabelCertError, NonBinaryLabel
 from labelcert.exact import Decision
-from labelcert.linalg import Dataset, fit, predict
+from labelcert.linalg import Dataset, fit
 
 MAX_LABELS = 15
 MAX_BUDGET = 3
@@ -118,7 +118,7 @@ def brute_force_classification(
             f"budget <= {MAX_FLIP_BUDGET}; got n={dataset.n}, budget={spec.budget}"
         )
 
-    base_class = predict(fit(dataset, lam)[0], x) >= 0.5
+    base_class = np.dot(x, fit(dataset, lam)[0].values) >= 0.5
     flip = 1.0 - 2.0 * y  # -1 where y=1, +1 where y=0
     allowed = [i for i in range(dataset.n) if spec.delta.lo[i] <= flip[i] <= spec.delta.hi[i]]
 
@@ -126,7 +126,7 @@ def brute_force_classification(
         for subset in combinations(allowed, size):
             flipped = y.copy()
             flipped[list(subset)] = 1.0 - flipped[list(subset)]
-            pred = predict(fit(dataset.with_labels(flipped), lam)[0], x)
+            pred = np.dot(x, fit(Dataset(dataset.X, flipped), lam)[0].values)
             if (pred >= 0.5) != base_class:
                 return False
     return True

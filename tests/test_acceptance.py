@@ -30,7 +30,7 @@ from labelcert.bias import contains, scale_delta
 from labelcert.data import SplitConfig, split, with_bias_column
 from labelcert.exact import certify_from_influence, classify_from_influence
 from labelcert.harness import export_attack
-from labelcert.linalg import InfluenceMatrix, influence_vector, predict
+from labelcert.linalg import InfluenceMatrix, influence_vector
 from conftest import random_delta, random_instance, sample_bias_members, witnessed_range
 from oracle import brute_force_classification, brute_force_hull, brute_force_range
 
@@ -330,8 +330,8 @@ def test_c10_attack_self_consistency(tmp_path):
             labels = np.array(
                 [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
             )
-            refit = fit(train.with_labels(labels), 0.5)[0]
-            assert (predict(refit, x) >= 0.5) != (summary["old_class"] == 1)
+            refit = fit(Dataset(train.X, labels), 0.5)[0]
+            assert (x @ refit.values >= 0.5) != (summary["old_class"] == 1)
             assert contains(BiasSpec(delta, summary["changed_count"]), train.y, labels)
     assert minimal_checked >= 5
 

@@ -32,7 +32,6 @@ from labelcert.harness import (
     run_experiment,
     write_report,
 )
-from labelcert.linalg import predict
 from conftest import random_dataset, random_delta
 
 
@@ -303,8 +302,8 @@ class TestExportAttack:
         assert summary["new_class"] != summary["old_class"]
         labels = _read_labels(tmp_path / "labels.csv")
         assert int(np.count_nonzero(labels != ds.y)) == 1
-        refit = fit(ds.with_labels(labels), 0.05)[0]
-        assert (predict(refit, x) >= 0.5) != (summary["old_class"] == 1)
+        refit = fit(Dataset(ds.X, labels), 0.05)[0]
+        assert (x @ refit.values >= 0.5) != (summary["old_class"] == 1)
 
     def test_fixed_budget_changes_exact_count(self, tmp_path):
         ds = self._flippable_dataset()
@@ -334,20 +333,17 @@ class TestExportAttack:
         assert contains(BiasSpec(delta, 2), train.y, labels)
         assert summary["changed_count"] == 2
 
-    def test_one_refit_at_the_given_strength(self, tmp_path, monkeypatch):
+    def test_new_prediction_is_the_refit_without_refitting(self, tmp_path, monkeypatch):
+        # C does not depend on the labels, so x . (C y~) is the refit's prediction bit for bit
         ds = self._flippable_dataset()
+        x = np.array([0.2, 1.0])
         _, influence = fit(ds, 0.05)
-        real_fit, lams = harness.fit, []
-
-        def counting_fit(dataset, lam):
-            lams.append(lam)
-            return real_fit(dataset, lam)
-
-        monkeypatch.setattr(harness, "fit", counting_fit)
+        monkeypatch.setattr(harness, "fit", None)
         for flips in ("minimal", 2):
-            export_attack(np.array([0.2, 1.0]), ds, classification_delta(ds.y), influence,
-                          flips, tmp_path / "labels.csv")
-        assert lams == [0.05, 0.05]
+            summary = export_attack(x, ds, classification_delta(ds.y), influence, flips,
+                                    tmp_path / "labels.csv")
+            refit = fit(Dataset(ds.X, _read_labels(tmp_path / "labels.csv")), 0.05)[0]
+            assert summary["new_prediction"] == (x * refit.values).sum()
 
     @pytest.mark.parametrize("flips, body", [
         ("minimal", "0,0,1\r\n1,1,0\r\n2,-0,0\r\n3,0,0\r\n4,1,0\r\n5,0,0\r\n"),

@@ -5,7 +5,7 @@ import pytest
 
 from labelcert import Dataset, fit, linalg
 from labelcert.errors import DimensionMismatch, SingularMatrix
-from labelcert.linalg import InfluenceMatrix, ModelCoefficients, influence_vector, predict
+from labelcert.linalg import InfluenceMatrix, influence_vector
 
 
 def gradient_descent_ridge(X, y, lam, iters=40000):
@@ -83,7 +83,7 @@ class TestInfluenceMatrix:
         )
 
     def test_solve_chunks_cover_every_column(self, rng, monkeypatch):
-        # 11 columns solved two at a time: the last chunk holds one column
+        # 3 identity columns and 11 training rows, two at a time: each last chunk holds one
         ds = Dataset(rng.normal(size=(11, 3)), rng.normal(size=11))
         whole = fit(ds, 0.5)[1].values
         monkeypatch.setattr(linalg, "SOLVE_ELEMS", 2 * 3 + 1)
@@ -91,6 +91,28 @@ class TestInfluenceMatrix:
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-15)
         gram = ds.X.T @ ds.X + 0.5 * np.eye(3)
         np.testing.assert_allclose(chunked, np.linalg.solve(gram, ds.X.T), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_entry_chunks(self, rng, monkeypatch, m):
+        # SOLVE_ELEMS = 1: every identity column and every training row is its own chunk
+        ds = Dataset(rng.normal(size=(9, m)), rng.normal(size=9))
+        whole = fit(ds, 0.5)[1].values
+        monkeypatch.setattr(linalg, "SOLVE_ELEMS", 1)
+        np.testing.assert_allclose(fit(ds, 0.5)[1].values, whole, rtol=1e-12, atol=0)
+
+    def test_accurate_near_pivot_guard(self):
+        # two nearly collinear columns put the pivot ratio within a decade above the guard
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 4))
+        X[:, 3] = X[:, 2] + 2e-6 * rng.normal(size=60)
+        gram = X.T @ X
+        ratio = np.linalg.cholesky(gram).diagonal().min() ** 2 / gram.diagonal().max()
+        assert linalg.PIVOT_RATIO_THRESHOLD <= ratio <= 10 * linalg.PIVOT_RATIO_THRESHOLD
+        C = fit(Dataset(X, np.zeros(60)), 0.0)[1].values
+        reference = np.linalg.solve(gram, X.T)
+        # forward error of order kappa(G) u for the inverse and for the reference solve
+        bound = 4 * np.linalg.cond(gram) * np.finfo(float).eps / 2 * np.abs(reference).max()
+        assert np.abs(C - reference).max() <= bound
 
 
 class TestInfluenceVector:
@@ -110,7 +132,7 @@ class TestInfluenceVector:
         for _ in range(5):
             x = rng.normal(size=3)
             z = influence_vector(x, inf)
-            np.testing.assert_allclose(z @ ds.y, predict(theta, x), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(z @ ds.y, x @ theta.values, rtol=1e-9, atol=1e-12)
 
     def test_dimension_mismatch(self):
         inf = InfluenceMatrix(np.eye(2), 0.0)
@@ -130,26 +152,29 @@ class TestInfluenceVector:
 
 
 class TestPredict:
+    """The linear model at a point, x . theta, as `export_attack` sums it."""
+
     def test_zero_coefficients(self, rng):
-        theta = ModelCoefficients(np.zeros(4), 0.0)
-        assert predict(theta, rng.normal(size=4)) == 0.0
+        theta = fit(Dataset(rng.normal(size=(6, 4)), np.zeros(6)), 0.1)[0]
+        assert (rng.normal(size=4) * theta.values).sum() == 0.0
 
     def test_single_feature(self):
-        theta = ModelCoefficients(np.array([1.0]), 0.0)
-        assert predict(theta, np.array([3.25])) == 3.25
+        theta = fit(Dataset(np.array([[2.0]]), np.array([6.5])), 0.0)[0]
+        assert (np.array([1.0]) * theta.values).sum() == 3.25
 
     def test_interpolates_square_system(self, rng):
         X = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
         y = rng.normal(size=4)
         theta = fit(Dataset(X, y), 0.0)[0]
         for i in range(4):
-            np.testing.assert_allclose(predict(theta, X[i]), y[i], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose((X[i] * theta.values).sum(), y[i], rtol=1e-9, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        theta = ModelCoefficients(np.array([1.0, 2.0]), 0.0)
+        # a point of the wrong shape is refused before any prediction is formed
+        inf = InfluenceMatrix(np.eye(2), 0.0)
         for bad in (np.array([1.0]), np.ones((3, 1)), np.ones((3, 2)), np.ones((2, 2, 2))):
             with pytest.raises(DimensionMismatch):
-                predict(theta, bad)
+                influence_vector(bad, inf)
 
 
 class TestDataset:
