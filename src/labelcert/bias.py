@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonBinaryLabel, NonPositiveScale, UnknownColumn
+from .errors import DimensionMismatch, NonBinaryLabel, UnknownColumn
 from .linalg import Dataset
 
 
@@ -35,9 +35,6 @@ class Interval:
             raise ValueError(f"interval is empty: [{self.lo}, {self.hi}]")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-
-    def __contains__(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
 
 @dataclass(frozen=True)
@@ -80,12 +77,6 @@ class PerturbationVector:
         if np.array_equal(self.lo, -self.hi):
             return self
         return PerturbationVector(-self.hi, -self.lo)
-
-    def __getitem__(self, i: int) -> Interval:
-        return Interval(self.lo[i], self.hi[i])
-
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(Interval(l, h) for l, h in zip(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -172,13 +163,6 @@ def apply_targeting(
         )
     keep = predicate.mask(dataset)
     return PerturbationVector(np.where(keep, delta.lo, 0.0), np.where(keep, delta.hi, 0.0))
-
-
-def scale_delta(delta: PerturbationVector, c: float) -> PerturbationVector:
-    """Scale every interval to [c*lo, c*hi]; c must be strictly positive."""
-    if not math.isfinite(c) or c <= 0:
-        raise NonPositiveScale(f"scale factor must be > 0, got {c}")
-    return PerturbationVector(c * delta.lo, c * delta.hi)
 
 
 def contains(spec: BiasSpec, y: np.ndarray, y_tilde: np.ndarray) -> bool:

@@ -11,10 +11,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .approx import model_hull, save_hull
 from .bias import BiasSpec
 from .config import load_experiment_config, resolve_budget
-from .data import synth_classification, synth_demographic, write_csv
+from .data import synth_classification, synth_demographic, write_columns, write_csv
 from .errors import LabelCertError
 from .exact import Decision, min_flips_from_influence
 from .harness import (
@@ -109,16 +111,12 @@ def cmd_min_flips(args) -> int:
     config, (train, _, test, delta, (_, influence), _) = _fold0(args)
     decision = Decision.for_task(config.task, config.epsilon)
     rows = [_test_row(args.index, test)] if args.index is not None else range(test.n)
+    # lazily, so that no witness outlives its row; an unbreakable row has empty cells
+    results = (min_flips_from_influence(influence_vector(test.X[i], influence), train.y, delta,
+                                        decision) for i in rows)
+    cells = [("", "") if r is None else (str(r.flips), "%.17g" % r.prediction) for r in results]
     out_path = Path(config.out_dir) / "min_flips.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("row,flips,prediction\n")
-        for i in rows:
-            z = influence_vector(test.X[i], influence)
-            result = min_flips_from_influence(z, train.y, delta, decision)
-            if result is None:
-                handle.write(f"{i},,\n")
-            else:
-                handle.write(f"{i},{result.flips},{result.prediction:.17g}\n")
+    write_columns(out_path, ("row", "flips", "prediction"), (np.asarray(rows), *zip(*cells)))
     print(out_path)
     return 0
 

@@ -10,7 +10,8 @@ Reads and writes are array operations that give the csv module's results.  A
 file is read once and its numeric columns parse in one numpy pass; only a file
 with a quote, a line break the csv module does not know, an ASCII separator
 character or an over-long line goes through the csv module (`load_csv` lists
-them).  Writers format whole columns (`write_columns`) and write once.
+them).  `write_columns` writes the dataset, attack-label and `min_flips.csv`
+files: whole columns formatted, one write, `\\r\\n` line ends like every CSV here.
 """
 
 from __future__ import annotations
@@ -296,15 +297,6 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         header.append("group")
         columns.append(dataset.group_labels)
     write_columns(path, header, columns)
-
-
-def schema_for(dataset: Dataset) -> DatasetSchema:
-    """Schema that reloads a file produced by write_csv for this dataset."""
-    return DatasetSchema(
-        label="label",
-        features=dataset.feature_names,
-        group="group" if dataset.group_labels is not None else None,
-    )
 
 
 def with_bias_column(dataset: Dataset) -> Dataset:

@@ -17,10 +17,6 @@ class NonBinaryLabel(LabelCertError):
     """An operation restricted to {0, 1} labels received something else."""
 
 
-class NonPositiveScale(LabelCertError):
-    """Perturbation scaling requires a strictly positive factor."""
-
-
 class UnknownColumn(LabelCertError):
     """A targeting predicate names a column or group channel the dataset lacks."""
 

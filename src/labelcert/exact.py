@@ -378,14 +378,14 @@ def decide_exact(z: np.ndarray, y: np.ndarray, spec: BiasSpec, decision: Decisio
 def certify_from_influence(
     z: np.ndarray, y: np.ndarray, spec: BiasSpec, epsilon: float
 ) -> CertResult:
-    """Band check: robust iff every reachable prediction stays within the closed
-    band [z.y - epsilon, z.y + epsilon]; equality at the boundary counts as robust."""
+    """`decide_exact` under `Decision.band(epsilon)`.  Kept only because the benchmark
+    (`perfbench/workloads.py`) imports it, until the benchmark's next change drops it."""
     return decide_exact(z, y, spec, Decision.band(epsilon))
 
 
 def classify_from_influence(z: np.ndarray, y: np.ndarray, spec: BiasSpec) -> CertResult:
-    """Decision-flip check: robust iff every reachable prediction classifies like
-    the base prediction under the 0.5 threshold."""
+    """`decide_exact` under `Decision.threshold()`.  Kept only because the benchmark
+    (`perfbench/workloads.py`) imports it, until the benchmark's next change drops it."""
     return decide_exact(z, y, spec, Decision.threshold())
 
 

@@ -17,6 +17,7 @@ from labelcert import (
     certify_grid,
     classification_delta,
     decide_approx_rows,
+    decide_exact,
     fit,
     group_rates,
     model_hull,
@@ -26,9 +27,8 @@ from labelcert import (
     uniform_delta,
 )
 from labelcert.approx import interval_predict
-from labelcert.bias import contains, scale_delta
+from labelcert.bias import PerturbationVector, contains
 from labelcert.data import SplitConfig, split, with_bias_column
-from labelcert.exact import certify_from_influence, classify_from_influence
 from labelcert.harness import export_attack
 from labelcert.linalg import InfluenceMatrix, influence_vector
 from conftest import random_delta, random_instance, sample_bias_members, witnessed_range
@@ -54,7 +54,7 @@ def test_c01_worked_example_goldens():
     assert rng_result.interval.lo == 3.0
     assert rng_result.interval.hi == 7.0
 
-    verdict = certify_from_influence(z, y, spec, epsilon=3.0)
+    verdict = decide_exact(z, y, spec, Decision.band(3.0))
     assert verdict.robust and verdict.base_prediction == 5.0
     _report("1 (worked-example goldens)")
 
@@ -133,7 +133,7 @@ def test_c04_approx_never_overrules_exact():
         if decide_approx_rows(hull, x[None], Decision.band(epsilon))[0]:
             certified += 1
             z = influence_vector(x, influence)
-            assert certify_from_influence(z, ds.y, spec, epsilon).robust
+            assert decide_exact(z, ds.y, spec, Decision.band(epsilon)).robust
     assert certified > 0
 
     # incompleteness: duplicate feature columns cancel exactly at x = (1, -1)
@@ -145,7 +145,7 @@ def test_c04_approx_never_overrules_exact():
     hull = model_hull(influence, ds.y, spec)
     x = np.array([1.0, -1.0])
     z = influence_vector(x, influence)
-    assert certify_from_influence(z, ds.y, spec, 0.01).robust
+    assert decide_exact(z, ds.y, spec, Decision.band(0.01)).robust
     assert not decide_approx_rows(hull, x[None], Decision.band(0.01))[0]
     _, lo, hi = interval_predict(hull, x[None])
     assert hi[0] - lo[0] > 0.0
@@ -161,11 +161,12 @@ def test_c05_scale_invariance():
         budget = int(rng.integers(0, min(n, 4) + 1))
         z, y, spec = random_instance(rng, n, budget)
         epsilon = float(rng.uniform(0.05, 3.0))
-        verdict = certify_from_influence(z, y, spec, epsilon).robust
+        verdict = decide_exact(z, y, spec, Decision.band(epsilon)).robust
         flips_seen += 0 if verdict else 1
         for c in (0.5, 2.0, 10.0):
-            scaled = BiasSpec(scale_delta(spec.delta, c), spec.budget)
-            assert certify_from_influence(z, y, scaled, c * epsilon).robust == verdict
+            scaled = BiasSpec(PerturbationVector(c * spec.delta.lo, c * spec.delta.hi),
+                              spec.budget)
+            assert decide_exact(z, y, scaled, Decision.band(c * epsilon)).robust == verdict
     assert 0 < flips_seen < 500  # both verdicts exercised
     _report("5 (verdict scale invariance, c in {0.5, 2, 10})")
 
@@ -185,7 +186,7 @@ def test_c06_binary_exactness():
         spec = BiasSpec(delta, int(rng.integers(1, min(n, 3) + 1)))
         _, influence = fit(ds, 0.3)
         z = influence_vector(rng.normal(size=3), influence)
-        result = classify_from_influence(z, ds.y, spec)
+        result = decide_exact(z, ds.y, spec, Decision.threshold())
         for witness in (result.range.lower_witness, result.range.upper_witness):
             assert np.isin(witness, (0.0, 1.0)).all()
 
@@ -198,7 +199,7 @@ def test_c06_binary_exactness():
         x = rng.normal(size=2)
         _, influence = fit(ds, 0.2)
         assert (
-            classify_from_influence(influence_vector(x, influence), ds.y, spec).robust
+            decide_exact(influence_vector(x, influence), ds.y, spec, Decision.threshold()).robust
             == brute_force_classification(x, ds, spec, lam=0.2)
         )
     _report("6 (binary exactness, 200 witness + 100 oracle instances)")

@@ -24,7 +24,7 @@ from labelcert.approx import (
     save_hull,
 )
 from labelcert.errors import DimensionMismatch, ParseError
-from labelcert.exact import Decision, certify_from_influence
+from labelcert.exact import Decision, decide_exact
 from labelcert.linalg import InfluenceMatrix, influence_vector
 from conftest import random_dataset, random_delta, sample_bias_members, witnessed_range
 from oracle import brute_force_hull
@@ -192,7 +192,7 @@ class TestCertifyApprox:
             if decide_approx_rows(hull, x[None], Decision.band(eps))[0]:
                 certified_seen += 1
                 z = influence_vector(x, influence)
-                assert certify_from_influence(z, ds.y, spec, eps).robust
+                assert decide_exact(z, ds.y, spec, Decision.band(eps)).robust
         assert certified_seen > 0
 
     def test_incompleteness_instance_exists(self):
@@ -205,7 +205,7 @@ class TestCertifyApprox:
         hull = model_hull(influence, ds.y, spec)
         x = np.array([1.0, -1.0])
         z = influence_vector(x, influence)
-        exact = certify_from_influence(z, ds.y, spec, epsilon=0.01)
+        exact = decide_exact(z, ds.y, spec, Decision.band(0.01))
         loose = decide_approx_rows(hull, x[None], Decision.band(0.01))
         assert exact.robust
         assert loose.tolist() == [False]

@@ -13,8 +13,8 @@ from labelcert import (
     classification_delta,
     uniform_delta,
 )
-from labelcert.bias import Interval, PerturbationVector, contains, scale_delta
-from labelcert.errors import DimensionMismatch, NonBinaryLabel, NonPositiveScale, UnknownColumn
+from labelcert.bias import Interval, PerturbationVector, contains
+from labelcert.errors import DimensionMismatch, NonBinaryLabel, UnknownColumn
 from conftest import dyadic_instances
 
 
@@ -27,11 +27,6 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(-np.inf, 0.0)
 
-    def test_membership_is_closed(self):
-        iv = Interval(-1.0, 2.0)
-        assert -1.0 in iv and 2.0 in iv and 0.5 in iv
-        assert 2.0000001 not in iv
-
 
 class TestPerturbationVector:
     def test_must_contain_zero(self):
@@ -42,7 +37,7 @@ class TestPerturbationVector:
 
     def test_indexing(self):
         pv = PerturbationVector(np.array([-1.0, 0.0]), np.array([0.0, 2.0]))
-        assert pv[1] == Interval(0.0, 2.0)
+        assert (pv.lo[1], pv.hi[1]) == (0.0, 2.0)
         assert len(pv) == 2
 
     def test_budget_cannot_exceed_length(self):
@@ -62,28 +57,29 @@ class TestPerturbationVector:
 class TestUniformDelta:
     def test_symmetric_intervals(self):
         pv = uniform_delta(2, 1.0)
-        assert pv.intervals() == (Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+        assert pv.lo.tolist() == [-1.0, -1.0] and pv.hi.tolist() == [1.0, 1.0]
 
     def test_zero_halfwidth(self):
         pv = uniform_delta(3, 0.0)
-        assert all(iv == Interval(0.0, 0.0) for iv in pv.intervals())
+        assert pv.lo.tolist() == pv.hi.tolist() == [0.0, 0.0, 0.0]
 
     def test_single_label(self):
-        assert uniform_delta(1, 2.5).intervals() == (Interval(-2.5, 2.5),)
+        pv = uniform_delta(1, 2.5)
+        assert pv.lo.tolist() == [-2.5] and pv.hi.tolist() == [2.5]
 
 
 class TestClassificationDelta:
     def test_flip_directions(self):
         pv = classification_delta(np.array([1.0, 0.0]))
-        assert pv.intervals() == (Interval(-1.0, 0.0), Interval(0.0, 1.0))
+        assert pv.lo.tolist() == [-1.0, 0.0] and pv.hi.tolist() == [0.0, 1.0]
 
     def test_all_zeros(self):
         pv = classification_delta(np.zeros(3))
-        assert all(iv == Interval(0.0, 1.0) for iv in pv.intervals())
+        assert pv.lo.tolist() == [0.0, 0.0, 0.0] and pv.hi.tolist() == [1.0, 1.0, 1.0]
 
     def test_all_ones(self):
         pv = classification_delta(np.ones(2))
-        assert all(iv == Interval(-1.0, 0.0) for iv in pv.intervals())
+        assert pv.lo.tolist() == [-1.0, -1.0] and pv.hi.tolist() == [0.0, 0.0]
 
     def test_rejects_non_binary(self):
         with pytest.raises(NonBinaryLabel):
@@ -115,18 +111,14 @@ class TestTargeting:
     def test_group_targeting(self):
         ds = self._dataset()
         out = apply_targeting(uniform_delta(3, 1.0), ds, TargetPredicate(value="A"))
-        assert out.intervals() == (
-            Interval(-1.0, 1.0),
-            Interval(0.0, 0.0),
-            Interval(-1.0, 1.0),
-        )
+        assert out.lo.tolist() == [-1.0, 0.0, -1.0] and out.hi.tolist() == [1.0, 0.0, 1.0]
 
     def test_feature_targeting(self):
         ds = self._dataset()
         pred = TargetPredicate(value=1.0, feature_index=0)
         out = apply_targeting(uniform_delta(3, 1.0), ds, pred)
-        assert out.intervals()[1] == Interval(0.0, 0.0)
-        assert out.intervals()[0] == Interval(-1.0, 1.0)
+        assert (out.lo[1], out.hi[1]) == (0.0, 0.0)
+        assert (out.lo[0], out.hi[0]) == (-1.0, 1.0)
 
     def test_unknown_column(self):
         ds = Dataset(np.eye(2), np.ones(2))  # no group labels
@@ -146,24 +138,23 @@ class TestTargeting:
 
 
 class TestScaleDelta:
+    """Δ scaled by c > 0, as the scale-invariance properties build it."""
+
     def test_identity_scale(self):
         pv = classification_delta(np.array([1.0, 0.0]))
-        out = scale_delta(pv, 1.0)
+        out = PerturbationVector(1.0 * pv.lo, 1.0 * pv.hi)
         np.testing.assert_array_equal(out.lo, pv.lo)
         np.testing.assert_array_equal(out.hi, pv.hi)
 
     def test_doubling(self):
-        assert scale_delta(uniform_delta(1, 1.0), 2.0).intervals() == (Interval(-2.0, 2.0),)
+        pv = uniform_delta(1, 1.0)
+        out = PerturbationVector(2.0 * pv.lo, 2.0 * pv.hi)
+        assert out.lo.tolist() == [-2.0] and out.hi.tolist() == [2.0]
 
     def test_componentwise(self):
         pv = PerturbationVector(np.array([-1.0, 0.0]), np.array([0.0, 3.0]))
-        out = scale_delta(pv, 0.5)
-        assert out.intervals() == (Interval(-0.5, 0.0), Interval(0.0, 1.5))
-
-    def test_rejects_non_positive(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(NonPositiveScale):
-                scale_delta(uniform_delta(1, 1.0), bad)
+        out = PerturbationVector(0.5 * pv.lo, 0.5 * pv.hi)
+        assert out.lo.tolist() == [-0.5, 0.0] and out.hi.tolist() == [0.0, 1.5]
 
 
 class TestContains:
@@ -202,6 +193,7 @@ class TestContains:
         y_tilde = y.copy()
         for i in range(spec.budget):
             y_tilde[i] = y[i] + spec.delta.lo[i]
-        scaled_spec = BiasSpec(scale_delta(spec.delta, c), spec.budget)
+        scaled = PerturbationVector(c * spec.delta.lo, c * spec.delta.hi)
+        scaled_spec = BiasSpec(scaled, spec.budget)
         scaled_tilde = y + c * (y_tilde - y)
         assert contains(spec, y, y_tilde) == contains(scaled_spec, y, scaled_tilde)

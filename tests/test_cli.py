@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from labelcert import BiasSpec, classification_delta, fit, synth_classification, with_bias_column
+from labelcert import (BiasSpec, classification_delta, fit, min_flips_from_influence,
+                       synth_classification, uniform_delta, with_bias_column)
 from labelcert.cli import main
 from labelcert.data import SplitConfig, split, write_csv
-from labelcert.exact import Decision, classify_from_influence
+from labelcert.exact import Decision, decide_exact
 from labelcert.linalg import influence_vector
 
 CONFIG_TEMPLATE = """
@@ -155,6 +156,34 @@ class TestMinFlips:
         lines = (out / "min_flips.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("3,")
 
+    def test_golden_bytes(self, tmp_path):
+        # a regression band that rows 0, 1 and 3 never leave: their cells stay empty
+        dataset = synth_classification(40, 3, seed=1)
+        write_csv(dataset, tmp_path / "data.csv")
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f'task = "regression"\nseed = 1\nepsilon = 0.9\nlambda_grid = [0.1]\n'
+            f'[dataset]\npath = "{tmp_path / "data.csv"}"\nlabel = "label"\n'
+            f'features = ["f1", "f2", "f3"]\nadd_bias_column = true\n'
+            f'[bias]\nkind = "uniform"\nhalfwidth = 0.5\n',
+            encoding="utf-8",
+        )
+        train, _, test = split(with_bias_column(dataset), SplitConfig(seed=1))
+        _, influence = fit(train, 0.1)
+        delta = uniform_delta(train.n, 0.5)
+        results = [min_flips_from_influence(influence_vector(x, influence), train.y, delta,
+                                            Decision.band(0.9)) for x in test.X]
+        assert [r is None for r in results] == [True, True, False, True]
+        lines = [f"{i},," if r is None else f"{i},{r.flips},{r.prediction:.17g}"
+                 for i, r in enumerate(results)]
+        for name, flags, body in (("all", [], lines), ("row0", ["--index", "0"], lines[:1]),
+                                  ("row2", ["--index", "2"], lines[2:3])):
+            out = tmp_path / name
+            assert main(["min-flips", "--config", str(config), "--out-dir", str(out),
+                         *flags]) == 0
+            expected = "".join(f"{line}\r\n" for line in ["row,flips,prediction", *body])
+            assert (out / "min_flips.csv").read_bytes() == expected.encode()
+
     def test_agrees_with_classification_verdicts(self, tmp_path):
         # each reported k is the smallest budget at which the class can flip
         dataset = synth_classification(400, 3, seed=1)
@@ -178,7 +207,7 @@ class TestMinFlips:
             z = influence_vector(test.X[int(row)], influence)
 
             def robust(k):
-                return classify_from_influence(z, train.y, BiasSpec(delta, k)).robust
+                return decide_exact(z, train.y, BiasSpec(delta, k), Decision.threshold()).robust
 
             if not flips:
                 assert robust(train.n), row
@@ -204,7 +233,7 @@ class TestMinFlips:
             z = influence_vector(test.X[row], influence)
 
             def robust(k):
-                return classify_from_influence(z, train.y, BiasSpec(delta, k)).robust
+                return decide_exact(z, train.y, BiasSpec(delta, k), Decision.threshold()).robust
 
             if flips is None:
                 assert robust(train.n), row

@@ -13,7 +13,6 @@ from labelcert.data import (
     fold_rows,
     load_csv,
     read_delta_csv,
-    schema_for,
     split,
     write_csv,
 )
@@ -146,7 +145,8 @@ class TestLoadCsv:
         ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20), group_labels=("g",) * 20)
         path = tmp_path / "roundtrip.csv"
         write_csv(ds, path)
-        again = load_csv(path, schema_for(ds))
+        again = load_csv(path, DatasetSchema(label="label", features=ds.feature_names,
+                                             group="group"))
         np.testing.assert_array_equal(again.X, ds.X)
         np.testing.assert_array_equal(again.y, ds.y)
         assert again.group_labels == ds.group_labels

@@ -13,13 +13,11 @@ from labelcert import (
     influence_vector,
     uniform_delta,
 )
-from labelcert.bias import PerturbationVector, contains, scale_delta
+from labelcert.bias import PerturbationVector, contains
 from labelcert.errors import DimensionMismatch, NoAttackExists
 from labelcert import exact
 from labelcert.exact import (
     Decision,
-    certify_from_influence,
-    classify_from_influence,
     decide_exact,
     fixed_attack,
     min_flips_from_influence,
@@ -569,7 +567,7 @@ class TestCertifyRegression:
         return influence_vector(Z2, influence)
 
     def test_worked_example_robust(self):
-        result = certify_from_influence(self._z2(), Y2, SPEC2, epsilon=3.0)
+        result = decide_exact(self._z2(), Y2, SPEC2, Decision.band(3.0))
         assert result.robust
         assert result.counterexample is None
         assert result.base_prediction == 5.0
@@ -580,10 +578,10 @@ class TestCertifyRegression:
         result = witnessed_range(z, y, spec)
         base = z @ y
         eps = max(result.interval.hi - base, base - result.interval.lo)
-        assert certify_from_influence(z, y, spec, eps).robust
+        assert decide_exact(z, y, spec, Decision.band(eps)).robust
 
     def test_worked_example_not_robust(self):
-        result = certify_from_influence(self._z2(), Y2, SPEC2, epsilon=1.5)
+        result = decide_exact(self._z2(), Y2, SPEC2, Decision.band(1.5))
         assert not result.robust
         np.testing.assert_array_equal(result.counterexample, [3.0, 5.0])
         assert Z2 @ result.counterexample == 7.0
@@ -591,7 +589,7 @@ class TestCertifyRegression:
 
     def test_boundary_equality_is_robust(self):
         # V = [3, 7], base 5: epsilon = 2 touches both ends exactly
-        result = certify_from_influence(Z2, Y2, SPEC2, epsilon=2.0)
+        result = decide_exact(Z2, Y2, SPEC2, Decision.band(2.0))
         assert result.robust
 
     def test_counterexample_escapes_band(self, rng):
@@ -599,7 +597,7 @@ class TestCertifyRegression:
             z, y, spec = random_instance(rng, 9, 3)
             base = z @ y
             eps = rng.uniform(0.0, 2.0)
-            result = certify_from_influence(z, y, spec, eps)
+            result = decide_exact(z, y, spec, Decision.band(eps))
             if not result.robust:
                 assert abs(z @ result.counterexample - base) > eps
 
@@ -607,8 +605,8 @@ class TestCertifyRegression:
     @settings(max_examples=40)
     def test_monotone_in_epsilon(self, instance):
         z, y, spec = instance
-        if certify_from_influence(z, y, spec, 0.5).robust:
-            assert certify_from_influence(z, y, spec, 1.5).robust
+        if decide_exact(z, y, spec, Decision.band(0.5)).robust:
+            assert decide_exact(z, y, spec, Decision.band(1.5)).robust
 
 
 class TestScaleInvariance:
@@ -616,10 +614,11 @@ class TestScaleInvariance:
         for _ in range(100):
             z, y, spec = random_instance(rng, 8, 2)
             eps = rng.uniform(0.1, 3.0)
-            verdict = certify_from_influence(z, y, spec, eps).robust
+            verdict = decide_exact(z, y, spec, Decision.band(eps)).robust
             for c in (0.5, 2.0, 10.0):
-                scaled = BiasSpec(scale_delta(spec.delta, c), spec.budget)
-                assert certify_from_influence(z, y, scaled, c * eps).robust == verdict
+                scaled = BiasSpec(PerturbationVector(c * spec.delta.lo, c * spec.delta.hi),
+                                  spec.budget)
+                assert decide_exact(z, y, scaled, Decision.band(c * eps)).robust == verdict
 
 
 class TestCertifyClassification:
@@ -628,7 +627,7 @@ class TestCertifyClassification:
         z = np.array([0.1, 0.25])
         y = np.array([2.0, 2.0])
         delta = PerturbationVector(np.array([-1.5, 0.0]), np.array([1.0, 0.0]))
-        result = classify_from_influence(z, y, BiasSpec(delta, 1))
+        result = decide_exact(z, y, BiasSpec(delta, 1), Decision.threshold())
         assert result.base_prediction == pytest.approx(0.7)
         assert result.range.interval.lo == pytest.approx(0.55)
         assert result.range.interval.hi == pytest.approx(0.8)
@@ -638,7 +637,7 @@ class TestCertifyClassification:
         z = np.array([0.1, 0.25])
         y = np.array([2.0, 2.0])
         delta = PerturbationVector(np.array([-2.5, 0.0]), np.array([1.0, 0.0]))
-        result = classify_from_influence(z, y, BiasSpec(delta, 1))
+        result = decide_exact(z, y, BiasSpec(delta, 1), Decision.threshold())
         assert result.range.interval.lo == pytest.approx(0.45)
         assert not result.robust
         assert result.counterexample is not None
@@ -646,10 +645,10 @@ class TestCertifyClassification:
     def test_threshold_base_non_robust_with_width(self):
         z = np.array([0.5])
         y = np.array([1.0])
-        result = classify_from_influence(z, y, BiasSpec(uniform_delta(1, 0.5), 1))
+        result = decide_exact(z, y, BiasSpec(uniform_delta(1, 0.5), 1), Decision.threshold())
         assert result.base_prediction == 0.5
         assert not result.robust
-        degenerate = classify_from_influence(z, y, BiasSpec(uniform_delta(1, 0.0), 1))
+        degenerate = decide_exact(z, y, BiasSpec(uniform_delta(1, 0.0), 1), Decision.threshold())
         assert degenerate.robust
 
     def test_matches_retraining_oracle(self, rng):
@@ -659,7 +658,8 @@ class TestCertifyClassification:
             spec = BiasSpec(classification_delta(ds.y), 1)
             x = rng.normal(size=2)
             _, influence = fit(ds, 0.1)
-            fast = classify_from_influence(influence_vector(x, influence), ds.y, spec).robust
+            z = influence_vector(x, influence)
+            fast = decide_exact(z, ds.y, spec, Decision.threshold()).robust
             slow = brute_force_classification(x, ds, spec, lam=0.1)
             assert fast == slow
             agree += 1
@@ -739,11 +739,11 @@ class TestMinFlips:
         result = min_flips_from_influence(z, y, spec.delta, Decision.band(1.0))
         if result is None:
             for k in range(spec.n + 1):
-                assert certify_from_influence(z, y, BiasSpec(spec.delta, k), 1.0).robust
+                assert decide_exact(z, y, BiasSpec(spec.delta, k), Decision.band(1.0)).robust
         else:
             k = result.flips
-            assert not certify_from_influence(z, y, BiasSpec(spec.delta, k), 1.0).robust
-            assert certify_from_influence(z, y, BiasSpec(spec.delta, k - 1), 1.0).robust
+            assert not decide_exact(z, y, BiasSpec(spec.delta, k), Decision.band(1.0)).robust
+            assert decide_exact(z, y, BiasSpec(spec.delta, k - 1), Decision.band(1.0)).robust
 
     @given(dyadic_instances(max_n=6))
     @settings(max_examples=80)
@@ -752,11 +752,11 @@ class TestMinFlips:
         z, y, spec = instance
         result = min_flips_from_influence(z, y, spec.delta, Decision.threshold())
         if result is None:
-            assert classify_from_influence(z, y, BiasSpec(spec.delta, spec.n)).robust
+            assert decide_exact(z, y, BiasSpec(spec.delta, spec.n), Decision.threshold()).robust
         else:
             k = result.flips
-            assert not classify_from_influence(z, y, BiasSpec(spec.delta, k)).robust
-            assert classify_from_influence(z, y, BiasSpec(spec.delta, k - 1)).robust
+            assert not decide_exact(z, y, BiasSpec(spec.delta, k), Decision.threshold()).robust
+            assert decide_exact(z, y, BiasSpec(spec.delta, k - 1), Decision.threshold()).robust
             assert Decision.label(z @ result.witness) != Decision.label(z @ y)
 
 
@@ -923,6 +923,6 @@ class TestBinaryExactness:
             spec = BiasSpec(classification_delta(ds.y), int(rng.integers(1, 4)))
             _, influence = fit(ds, 0.2)
             z = influence_vector(rng.normal(size=3), influence)
-            result = classify_from_influence(z, ds.y, spec)
+            result = decide_exact(z, ds.y, spec, Decision.threshold())
             for witness in (result.range.lower_witness, result.range.upper_witness):
                 assert np.isin(witness, (0.0, 1.0)).all()

@@ -22,7 +22,7 @@ from labelcert import exact, harness
 from labelcert.approx import model_hull
 from labelcert.bias import PerturbationVector, contains
 from labelcert.config import ExperimentConfig
-from labelcert.data import SplitConfig, split, with_bias_column, write_csv
+from labelcert.data import DatasetSchema, SplitConfig, split, with_bias_column, write_csv
 from labelcert.errors import MissingGroups, NoAttackExists, TooFewRows
 from labelcert.exact import Decision, decide_exact
 from labelcert.harness import (
@@ -370,12 +370,11 @@ class TestRunExperiment:
     def _config(self, tmp_path, ds, folds=1, lambda_grid=(0.1,)):
         path = tmp_path / "data.csv"
         write_csv(ds, path)
-        from labelcert.data import schema_for
-
+        group = "group" if ds.group_labels is not None else None
         return ExperimentConfig(
             task="classification",
             data_path=str(path),
-            schema=schema_for(ds),
+            schema=DatasetSchema(label="label", features=ds.feature_names, group=group),
             split=SplitConfig(seed=3, folds=folds),
             budgets=("0.5%", "2%"),
             lambda_grid=lambda_grid,
